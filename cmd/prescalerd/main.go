@@ -34,10 +34,12 @@
 //	prescalerd -addr 127.0.0.1:8080 -peers 127.0.0.1:8081 &
 //	prescalerd -addr 127.0.0.1:8081 -peers 127.0.0.1:8080 &
 //
-// The fleet is resilient to node death: every node actively probes its
-// peers (-probe-interval) and excludes dead ones from the effective
-// ring, per-peer circuit breakers stop proxy attempts to a down node
-// after a few fast failures, and with -replication N each decision is
+// The fleet is resilient to node death: every node keeps one health
+// record per peer. Active probes (-probe-interval) decide whether the
+// peer is up, and dead peers leave the effective ring; the record's
+// dial gate stops proxy attempts to a down node after a few fast
+// transport failures (any HTTP answer, a 5xx included, counts as
+// alive), and with -replication N each decision is
 // owned by N ring successors — the primary computes and pushes the body
 // to the other replicas, so when it dies, requests fail over to a
 // replica that already has the answer cached. -persist-dir adds a
@@ -189,7 +191,7 @@ func main() {
 		}
 		logger.Info("wrote health artifact", "path", *healthArtifact)
 	}
-	// Stop the prober and drain the decision journal (final compaction
+	// Stop the peer probes and drain the decision journal (final compaction
 	// into the snapshot) after the last request has been answered.
 	if err := srv.Close(); err != nil {
 		fatalf("close: %v", err)

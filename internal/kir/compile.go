@@ -17,7 +17,10 @@ import (
 // a single possible result precision, so the per-lane inner loops carry
 // no precision bookkeeping at all. Bindings where that proof fails
 // (lane-divergent precision through float selects feeding arithmetic)
-// return a nil specialization and transparently run on the tree engine.
+// get a dyn tape instead, which carries the tree engine's dynamic
+// precision per lane. Only a program whose control tree cannot be
+// rebuilt (bytecode the lowerer did not produce) has no specialization
+// and runs on the tree engine.
 
 // bnodeKind classifies batch execution tree nodes.
 type bnodeKind uint8
@@ -57,8 +60,9 @@ type bnode struct {
 // batchCache holds the lazily-built batch specializations of a Program.
 // The structure tree is binding-independent and built once; the
 // per-binding precision tapes are keyed by the effective compute
-// precision of each buffer argument. A nil tape records an unsupported
-// binding so the fallback decision is made only once.
+// precision of each buffer argument; bindings without a static
+// resolution get a dyn tape. structOK false (bytecode the lowerer did
+// not produce) means no binding has a tape and Run uses the tree engine.
 type batchCache struct {
 	mu       sync.Mutex
 	built    bool

@@ -24,7 +24,8 @@ const (
 	// in fixed-size strips over columnar (SoA) register files, with the
 	// bytecode specialized once per (kernel, precision binding).
 	// Bindings whose precision dataflow cannot be resolved statically
-	// fall back to EngineTree transparently.
+	// still run batched, on a dyn tape that tracks precision per lane;
+	// only bytecode the lowerer did not produce falls back to EngineTree.
 	EngineBatch
 )
 

@@ -140,9 +140,10 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 		sizes[i] = float64(st.Size())
 	}
 
-	// The batch engine handles every binding it can specialize (all of
-	// the kernel suite); bindings with lane-divergent precision dataflow
-	// fall back to the tree walker below.
+	// The batch engine handles every binding of a lowerer-produced
+	// program (lane-divergent precision dataflow runs on a dyn tape);
+	// only a program whose control tree cannot be rebuilt falls back to
+	// the tree walker below.
 	if resolveEngine(env.Engine) == EngineBatch {
 		if bp := p.batchFor(computeAs); bp != nil {
 			return bp.run(env, computeAs, converts, sizes, gx, gy)

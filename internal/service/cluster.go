@@ -51,16 +51,10 @@ func routeLabel(i int) string {
 	return fmt.Sprintf("replica-%d", i)
 }
 
-// breakerFor returns the circuit breaker guarding a peer (nil for self
-// or unknown addresses).
-func (s *Server) breakerFor(peer string) *breaker {
-	return s.breakers[peer]
-}
-
 // proxyScale forwards a scale request along the fingerprint's replica
 // list — primary first — and relays the first answer. owners is the
 // ring-ordered replica set; entries equal to self and entries whose
-// circuit breaker is open are skipped, and each attempt runs under a
+// dial gate refuses are skipped, and each attempt runs under a
 // short per-attempt timeout, so a dead primary costs milliseconds
 // before the next replica (which was warmed when the decision was
 // computed) answers. It reports whether the response has been written:
@@ -84,12 +78,15 @@ func (s *Server) proxyScale(w http.ResponseWriter, r *http.Request, req *api.Sca
 		if owner == s.self {
 			continue
 		}
-		br := s.breakerFor(owner)
-		if br != nil && !br.Allow() {
+		h := s.peers[owner]
+		ok, trial := h.allow()
+		if !ok {
 			m.Counter("service_proxy", obs.L("result", "breaker_open")).Inc()
 			continue
 		}
-		switch s.proxyAttempt(w, r, body.String(), id, owner, i, br) {
+		out, dial := s.proxyAttempt(w, r, body.String(), id, owner, i)
+		h.report(dial, trial)
+		switch out {
 		case proxyOK:
 			return true
 		case proxyClientGone:
@@ -112,9 +109,12 @@ const (
 )
 
 // proxyAttempt issues one proxied scale request to one replica and, on
-// success, relays its answer. Failures feed the replica's breaker
-// unless the true cause is our own client disconnecting.
-func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, owner string, slot int, br *breaker) proxyOutcome {
+// success, relays its answer. It also returns what the attempt learned
+// about the replica for its dial gate: any HTTP answer, a 5xx included,
+// means the replica is alive; only a transport error or the attempt
+// timeout counts as a failure; and our own client disconnecting says
+// nothing about the replica.
+func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, owner string, slot int) (proxyOutcome, dialResult) {
 	m := s.obs.Metrics()
 	ctx, cancel := context.WithTimeout(r.Context(), s.proxyAttemptTimeout)
 	defer cancel()
@@ -122,7 +122,7 @@ func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, 
 		"http://"+owner+"/v1/scale", strings.NewReader(body))
 	if err != nil {
 		m.Counter("service_proxy", obs.L("result", "fallback")).Inc()
-		return proxyFailed
+		return proxyFailed, dialAbandoned
 	}
 	preq.Header.Set("Content-Type", "application/json")
 	preq.Header.Set(headerForwarded, s.self)
@@ -134,35 +134,26 @@ func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, 
 	resp, err := s.proxy.Do(preq)
 	if err != nil {
 		if r.Context().Err() != nil {
-			return proxyClientGone
-		}
-		if br != nil {
-			br.Failure()
+			return proxyClientGone, dialAbandoned
 		}
 		m.Counter("service_proxy", obs.L("result", "fallback")).Inc()
 		if s.logger != nil {
 			s.logger.Warn("proxy to replica failed",
 				"owner", owner, "slot", slot, "decision_id", id, "err", err.Error())
 		}
-		return proxyFailed
+		return proxyFailed, dialFailed
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
+		// A live replica's 5xx (say, an injected device loss) is still an
+		// answer; fall back past it without holding it against the peer.
 		io.Copy(io.Discard, resp.Body)
-		if br != nil {
-			br.Failure()
-		}
 		m.Counter("service_proxy", obs.L("result", "fallback")).Inc()
 		if s.logger != nil {
 			s.logger.Warn("replica answered 5xx",
 				"owner", owner, "slot", slot, "decision_id", id, "status", resp.StatusCode)
 		}
-		return proxyFailed
-	}
-	// The peer answered: whatever the status (200, 404, even 429), it is
-	// alive — close its breaker.
-	if br != nil {
-		br.Success()
+		return proxyFailed, dialAnswered
 	}
 
 	h := w.Header()
@@ -196,10 +187,10 @@ func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, 
 		relayed, err := io.ReadAll(io.LimitReader(resp.Body, warmBodyLimit))
 		if err == nil {
 			s.writeDecision(w, r, h.Get("X-Decision-Id"), h.Get("X-Cache"), relayed)
-			return proxyOK
+			return proxyOK, dialAnswered
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return proxyOK
+	return proxyOK, dialAnswered
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -60,10 +62,10 @@ func startClusterCfg(t *testing.T, size int, configure func(i int, cfg *Config))
 			Workload: testWorkloads,
 			Self:     addrs[i],
 			Peers:    peers,
-			// Membership stays static: these tests exercise the breaker
-			// and proxy fallback paths, which must work during the window
-			// before any probe verdict lands.
-			DisableProber: true,
+			// Membership stays static: these tests exercise the dial
+			// gate and proxy fallback paths, which must work during the
+			// window before any probe verdict lands.
+			ProbeInterval: time.Hour,
 		}
 		if configure != nil {
 			configure(i, &cfg)
@@ -227,4 +229,108 @@ func TestClusterFallbackOnPeerDeath(t *testing.T) {
 	if !bytes.Equal(body, body2) {
 		t.Error("fallback repeat body differs")
 	}
+}
+
+// ownedBy returns the first of bodies whose fingerprint node owns.
+func ownedBy(t *testing.T, node *clusterNode, bodies []string) string {
+	t.Helper()
+	for _, body := range bodies {
+		if node.srv.view.Ring().Owner(fingerprintFor(t, node, body)) == node.addr {
+			return body
+		}
+	}
+	t.Fatalf("no fingerprint owned by %s among %d bodies", node.addr, len(bodies))
+	return ""
+}
+
+// A live owner's 5xx is an answer, not a peer failure: an injected
+// device loss still reaches the client as 502 device_lost, but it must
+// not trip the owner's dial gate, so the owner's next request is still
+// proxied rather than searched locally.
+func TestClusterPeer5xxKeepsGateClosed(t *testing.T) {
+	nodes := startCluster(t, 2)
+	var lost, clean []string
+	for i := 0; i < 40; i++ {
+		lost = append(lost, fmt.Sprintf(`{"benchmark":"veccombine","toq":0.6%02d,"faults":"devlost:1"}`, i))
+		clean = append(clean, fmt.Sprintf(`{"benchmark":"veccombine","toq":0.7%02d}`, i))
+	}
+	lostBody, cleanBody := ownedBy(t, nodes[1], lost), ownedBy(t, nodes[1], clean)
+
+	for i := 0; i < gateThreshold; i++ {
+		resp, body := postScaleURL(t, nodes[0].url(), lostBody)
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), `"device_lost"`) {
+			t.Fatalf("devlost request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	gauge := nodes[0].obs.Metrics().Gauge("service_breaker_state", obs.L("peer", nodes[1].addr))
+	if g := gauge.Value(); g != 0 {
+		t.Errorf("owner's service_breaker_state = %v after its 5xx answers, want 0", g)
+	}
+	resp, body := postScaleURL(t, nodes[0].url(), cleanBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("clean request: status %d: %s", resp.StatusCode, body)
+	}
+	if c := resp.Header.Get("X-Cache"); c != "remote" {
+		t.Errorf("clean request X-Cache = %q, want remote (proxied to the live owner)", c)
+	}
+}
+
+// A client that leaves while its request is the owner's half-open trial
+// says nothing about the owner: the proxy hands the trial slot back, so
+// the next request is admitted as the new trial instead of being
+// refused for good.
+func TestClusterAbandonedTrialReleasesGate(t *testing.T) {
+	nodes := startCluster(t, 2)
+	var bodies []string
+	for i := 0; i < 40; i++ {
+		bodies = append(bodies, fmt.Sprintf(`{"benchmark":"veccombine","toq":0.8%02d}`, i))
+	}
+	reqBody := ownedBy(t, nodes[1], bodies)
+	reached := make(chan struct{}, 1)
+	nodes[1].srv.testSearchStarted = func(ctx context.Context, _ string) {
+		reached <- struct{}{}
+		<-ctx.Done()
+	}
+	h := nodes[0].srv.peers[nodes[1].addr]
+	trip(h)
+	h.mu.Lock()
+	h.now = func() time.Time { return time.Now().Add(time.Hour) } // backoff elapsed
+	h.mu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", nodes[0].url()+"/v1/scale", strings.NewReader(reqBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-reached: // the trial is in flight at the owner
+	case <-time.After(10 * time.Second):
+		t.Fatal("the trial never reached the owner")
+	}
+	cancel()
+	<-done
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		h.mu.Lock()
+		inFlight := h.trial != 0
+		h.mu.Unlock()
+		if !inFlight {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned trial still holds the gate's slot")
+		}
+	}
+	ok, trial := h.allow()
+	if !ok || trial == 0 {
+		t.Fatalf("dial after the abandoned trial = (%v, %v), want the next trial", ok, trial)
+	}
+	h.report(dialAbandoned, trial)
 }

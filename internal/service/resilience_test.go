@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,18 +266,24 @@ func TestWarmRestartFromJournal(t *testing.T) {
 }
 
 // A probe-detected death advances the membership epoch, shrinks the
-// effective ring, and forces the peer's breaker open; recovery reverses
-// all three. Driven through onPeerChange directly — the prober's own
-// state machine has its own tests.
+// effective ring, and opens the peer's dial gate; recovery reverses all
+// three. Driven through the probe path (the same observe the probe loop
+// calls), and healthz must show the verdict, the gate and the live set
+// agreeing after each flip.
 func TestPeerChangeUpdatesViewAndBreaker(t *testing.T) {
 	nodes := startCluster(t, 3)
 	srv := nodes[0].srv
 	peer := nodes[1].addr
+	h := srv.peers[peer]
 	if srv.view.Epoch() != 1 {
 		t.Fatalf("initial epoch = %d", srv.view.Epoch())
 	}
 
-	srv.onPeerChange(peer, false)
+	h.observe(false)
+	if e := srv.view.Epoch(); e != 1 {
+		t.Fatalf("one failed probe moved the epoch to %d", e)
+	}
+	h.observe(false)
 	if e := srv.view.Epoch(); e != 2 {
 		t.Errorf("epoch after death = %d, want 2", e)
 	}
@@ -285,21 +293,57 @@ func TestPeerChangeUpdatesViewAndBreaker(t *testing.T) {
 	if srv.view.Ring().Contains(peer) {
 		t.Error("dead peer still on the effective ring")
 	}
-	if st := srv.breakerFor(peer).State(); st != breakerOpen {
-		t.Errorf("breaker after probe-down = %v, want open", st)
+	if st := gateOf(h); st != gateOpen {
+		t.Errorf("gate after probe-down = %v, want open", st)
 	}
 	if g := nodes[0].obs.Metrics().Gauge("service_cluster_epoch").Value(); g != 2 {
 		t.Errorf("service_cluster_epoch = %v, want 2", g)
 	}
+	if g := nodes[0].obs.Metrics().Gauge("service_breaker_state", obs.L("peer", peer)).Value(); g != 2 {
+		t.Errorf("service_breaker_state = %v, want 2", g)
+	}
+	checkPeerHealthz(t, nodes[0], peer, false, "open")
 
-	srv.onPeerChange(peer, true)
+	h.observe(true)
+	h.observe(true)
 	if e := srv.view.Epoch(); e != 3 {
 		t.Errorf("epoch after recovery = %d, want 3", e)
 	}
 	if !srv.view.Ring().Contains(peer) {
 		t.Error("recovered peer missing from the effective ring")
 	}
-	if st := srv.breakerFor(peer).State(); st != breakerClosed {
-		t.Errorf("breaker after probe-up = %v, want closed", st)
+	if st := gateOf(h); st != gateClosed {
+		t.Errorf("gate after probe-up = %v, want closed", st)
+	}
+	checkPeerHealthz(t, nodes[0], peer, true, "closed")
+}
+
+// checkPeerHealthz requires node's GET /v1/healthz to report peer with
+// the given verdict and gate, and to list it in live exactly when up.
+func checkPeerHealthz(t *testing.T, node *clusterNode, peer string, up bool, gate string) {
+	t.Helper()
+	resp, err := http.Get(node.url() + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Cluster struct {
+			Live  []string `json:"live"`
+			Peers map[string]struct {
+				Up      bool   `json:"up"`
+				Breaker string `json:"breaker"`
+			} `json:"peers"`
+		} `json:"cluster"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	got := doc.Cluster.Peers[peer]
+	if got.Up != up || got.Breaker != gate {
+		t.Errorf("healthz peers[%s] = %+v, want {Up:%v Breaker:%s}", peer, got, up, gate)
+	}
+	if slices.Contains(doc.Cluster.Live, peer) != up {
+		t.Errorf("healthz live = %v disagrees with up=%v for %s", doc.Cluster.Live, up, peer)
 	}
 }

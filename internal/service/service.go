@@ -130,15 +130,12 @@ type Config struct {
 	// the worst-case cost of a hung (not dead — dead fails at connect)
 	// peer per request.
 	ProxyAttemptTimeout time.Duration
-	// ProbeInterval paces the active peer health prober in a cluster; 0
-	// selects 2s. Probes feed the liveness overlay of the membership
-	// view (dead peers leave the effective ring within roughly one
-	// interval) and the per-peer circuit breakers.
+	// ProbeInterval paces the active peer health probes in a cluster; 0
+	// selects 2s. Probe verdicts feed the liveness overlay of the
+	// membership view (dead peers leave the effective ring within
+	// roughly one interval) and each peer's dial gate. A long interval
+	// keeps membership static.
 	ProbeInterval time.Duration
-	// DisableProber turns off the active health prober (tests that want
-	// deterministic membership drive SetAlive themselves). Breakers
-	// still learn from proxy failures.
-	DisableProber bool
 	// PersistDir, when non-empty, enables the crash-safe decision
 	// journal: completed decisions are appended (checksummed, fsync'd
 	// off the hot path) under this directory and replayed into the LRU
@@ -200,11 +197,11 @@ type Server struct {
 	replication         int           // ring owners per fingerprint
 	proxy               *http.Client  // issues proxied scale requests
 	proxyAttemptTimeout time.Duration
-	warmClient          *http.Client        // pushes decisions to replicas
-	breakers            map[string]*breaker // per peer
-	prober              *prober             // nil outside a cluster or when disabled
-	epochGauge          *obs.Gauge          // service_cluster_epoch
-	journal             *journal            // nil without PersistDir
+	warmClient          *http.Client           // pushes decisions to replicas
+	peers               map[string]*peerHealth // every seed member but self
+	stopProbes          func()                 // joins the probe loops; nil outside a cluster
+	epochGauge          *obs.Gauge             // service_cluster_epoch
+	journal             *journal               // nil without PersistDir
 
 	mu     sync.Mutex
 	bases  map[string]*core.Framework // per system preset, inspected once
@@ -342,31 +339,24 @@ func New(cfg Config) (*Server, error) {
 		s.warmClient = &http.Client{Timeout: defaultWarmTimeout}
 		s.epochGauge = o.Metrics().Gauge("service_cluster_epoch")
 		s.epochGauge.Set(float64(view.Epoch()))
-		s.breakers = map[string]*breaker{}
+		s.peers = map[string]*peerHealth{}
 		for _, peer := range cfg.Peers {
-			if peer == cfg.Self {
-				continue
+			if peer != cfg.Self {
+				s.peers[peer] = newPeerHealth(peer, o.Metrics(), s.onPeerChange)
 			}
-			s.breakers[peer] = newBreaker(
-				o.Metrics().Gauge("service_breaker_state", obs.L("peer", peer)))
 		}
-		if !cfg.DisableProber {
-			peers := make([]string, 0, len(s.breakers))
-			for peer := range s.breakers {
-				peers = append(peers, peer)
-			}
-			sort.Strings(peers)
-			s.prober = newProber(peers, cfg.ProbeInterval, nil, s.onPeerChange,
-				o.Metrics(), cfg.Logger)
-			s.prober.Start()
+		interval := cfg.ProbeInterval
+		if interval <= 0 {
+			interval = defaultProbeInterval
 		}
+		s.stopProbes = startProbes(s.peers, interval, httpProbe(interval))
 	}
 	if cfg.PersistDir != "" {
 		j, records, err := openJournal(cfg.PersistDir, cfg.PersistMaxWAL,
 			s.persistSnapshot, o.Metrics(), cfg.Logger)
 		if err != nil {
-			if s.prober != nil {
-				s.prober.Stop()
+			if s.stopProbes != nil {
+				s.stopProbes()
 			}
 			return nil, err
 		}
@@ -405,12 +395,12 @@ func New(cfg Config) (*Server, error) {
 // Config.DisableTelemetry.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Close releases the server's background machinery: the health prober
-// stops, and the decision journal drains its queue and compacts a final
+// Close releases the server's background machinery: the peer probes
+// stop, and the decision journal drains its queue and compacts a final
 // snapshot. Call after the HTTP server has shut down.
 func (s *Server) Close() error {
-	if s.prober != nil {
-		s.prober.Stop()
+	if s.stopProbes != nil {
+		s.stopProbes()
 	}
 	if s.journal != nil {
 		return s.journal.Close()
@@ -418,26 +408,16 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// onPeerChange is the prober's verdict callback: fold the liveness
-// transition into the membership view (rebuilding the effective ring
-// and advancing the epoch) and force the peer's breaker to match, so a
-// probe-detected death stops proxy attempts within one interval even on
-// nodes that never dialed the peer.
+// onPeerChange hears a peer's verdict flip (its dial gate has already
+// moved with it) and folds it into the membership view, rebuilding the
+// effective ring and advancing the epoch.
 func (s *Server) onPeerChange(peer string, up bool) {
 	if s.view.SetAlive(peer, up) {
 		s.epochGauge.Set(float64(s.view.Epoch()))
-		if s.logger != nil {
-			s.logger.Warn("cluster membership changed",
-				"peer", peer, "up", up, "epoch", s.view.Epoch(),
-				"live", strings.Join(s.view.Live(), ","))
-		}
 	}
-	if br := s.breakerFor(peer); br != nil {
-		if up {
-			br.ForceClose()
-		} else {
-			br.ForceOpen()
-		}
+	if s.logger != nil {
+		s.logger.Warn("peer liveness changed", "peer", peer, "up", up,
+			"epoch", s.view.Epoch(), "live", strings.Join(s.view.Live(), ","))
 	}
 }
 
@@ -997,12 +977,8 @@ func (s *Server) Health() map[string]any {
 	}
 	if s.view != nil {
 		peers := map[string]any{}
-		for peer, br := range s.breakers {
-			up := true
-			if s.prober != nil {
-				up = s.prober.Up(peer)
-			}
-			peers[peer] = map[string]any{"up": up, "breaker": br.State().String()}
+		for peer, ph := range s.peers {
+			peers[peer] = ph.entry()
 		}
 		h["cluster"] = map[string]any{
 			"self":        s.self,

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -78,8 +79,9 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 // warmReplicas pushes a freshly computed decision to the fingerprint's
 // other replicas. Runs on its own goroutine; failures are counted and
 // logged, never surfaced to the client whose request triggered the
-// compute. Breaker-open peers are skipped — warming a peer the data
-// path refuses to dial would just burn the timeout.
+// compute. A push asks the replica's dial gate like a proxied request
+// does, and reports back to it: warming a peer the gate refuses would
+// just burn the timeout.
 func (s *Server) warmReplicas(id string, body []byte) {
 	m := s.obs.Metrics()
 	owners := s.view.Ring().OwnerN(id, s.replication)
@@ -87,12 +89,21 @@ func (s *Server) warmReplicas(id string, body []byte) {
 		if owner == s.self {
 			continue
 		}
-		if br := s.breakerFor(owner); br != nil && br.State() == breakerOpen {
+		h := s.peers[owner]
+		ok, trial := h.allow()
+		if !ok {
 			m.Counter("service_warm", obs.L("result", "skipped")).Inc()
 			continue
 		}
 		m.Counter("service_warm", obs.L("result", "sent")).Inc()
-		if err := s.warmOne(owner, id, body); err != nil {
+		err := s.warmOne(owner, id, body)
+		var answered *client.APIError
+		if err == nil || errors.As(err, &answered) {
+			h.report(dialAnswered, trial)
+		} else {
+			h.report(dialFailed, trial)
+		}
+		if err != nil {
 			m.Counter("service_warm", obs.L("result", "send_error")).Inc()
 			if s.logger != nil {
 				s.logger.Warn("replica warm failed", "peer", owner, "decision_id", id, "err", err.Error())

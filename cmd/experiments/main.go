@@ -30,7 +30,6 @@ import (
 	"repro/internal/exper"
 	"repro/internal/fault"
 	"repro/internal/hw"
-	"repro/internal/kir"
 	"repro/internal/obs"
 	"repro/internal/polybench"
 	"repro/internal/prog"
@@ -105,16 +104,8 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for the fault-injection decision stream (same spec+seed reproduces the same faults at any -j)")
 	retries := flag.Int("retries", 2, "bounded retries per search trial and per measurement task after an injected fault (inert without -faults)")
 	checkpointDir := flag.String("checkpoint", "", "directory for per-task result checkpoints; an interrupted run restarted with the same flags resumes without re-executing completed tasks")
-	interp := flag.String("interp", "batch", "kir interpreter engine: batch (vectorized strips) or tree (reference walker); all artifacts are byte-identical between the two")
 	flag.Parse()
 	start := time.Now()
-
-	engine, err := kir.ParseEngine(*interp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	kir.SetDefaultEngine(engine)
 
 	// Ctrl-C / SIGTERM cancels the run: the context is threaded through
 	// the runner into every framework call, so an in-flight search stops

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hw"
-	"repro/internal/kir"
 	"repro/internal/obs"
 	"repro/internal/polybench"
 	"repro/internal/prog"
@@ -61,15 +60,8 @@ func main() {
 	retries := flag.Int("retries", 2, "bounded retries per search trial after an injected fault (inert without -faults)")
 	progress := flag.Bool("progress", false, "stream search progress (one line per trial/decision) to stderr as it happens")
 	daemon := flag.String("daemon", "", "prescalerd base URL (e.g. http://127.0.0.1:8080); submit the request to the daemon through the v1 API client instead of searching in-process")
-	interp := flag.String("interp", "batch", "kir interpreter engine: batch (vectorized strips) or tree (reference walker); all artifacts are byte-identical between the two")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	flag.Parse()
-
-	engine, err := kir.ParseEngine(*interp)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	kir.SetDefaultEngine(engine)
 
 	if *list {
 		for _, name := range polybench.Names() {

@@ -75,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/kir"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -97,14 +96,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	debugAddr := flag.String("debug-addr", "", "optional second listener serving net/http/pprof (e.g. 127.0.0.1:6060); empty disables")
 	healthArtifact := flag.String("health-artifact", "", "file to write the final health summary JSON to on shutdown; empty disables")
-	interp := flag.String("interp", "batch", "kir interpreter engine: batch (vectorized strips) or tree (reference walker); all decision artifacts are byte-identical between the two")
 	flag.Parse()
-
-	engine, err := kir.ParseEngine(*interp)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	kir.SetDefaultEngine(engine)
 
 	logger, err := newLogger(*logFormat, *logLevel)
 	if err != nil {

@@ -33,7 +33,8 @@ type Client struct {
 	HTTPClient *http.Client
 	// Retries is the number of transport-failure retries per request,
 	// each against the next target in rotation (the same target again
-	// when only one is configured).
+	// when only one is configured). Every request makes at least one
+	// attempt; a negative value counts as zero.
 	Retries int
 	// ClientID is sent as X-Client-Id (keys the server's fair queue).
 	ClientID string
@@ -117,8 +118,9 @@ func baseURL(target string) string {
 // and the returned Meta then still carries the retry count.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, *Meta, error) {
 	targets := c.targets()
+	retries := max(c.Retries, 0)
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		target := targets[attempt%len(targets)]
 		var rd io.Reader
 		if body != nil {
@@ -147,7 +149,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 		}
 		return resp, metaFrom(resp, attempt, target), nil
 	}
-	return nil, &Meta{Retried: c.Retries}, lastErr
+	return nil, &Meta{Retried: retries}, lastErr
 }
 
 // metaFrom extracts the header metadata of one response.

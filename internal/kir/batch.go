@@ -9,16 +9,16 @@ import (
 	"repro/internal/precision"
 )
 
-// This file implements the vectorized strip engine (EngineBatch). The
+// This file implements the vectorized strip engine that Run uses. The
 // NDRange is flattened and executed in fixed-size strips of work items;
 // each virtual register becomes a column (one slot per lane), and every
 // instruction runs as a tight loop over the currently-active lane list.
 // Control flow uses lane masking: a loop keeps iterating the lanes whose
 // head condition still holds, an if partitions lanes into then/else
 // lists. Because every lane executes exactly the instruction sequence
-// the tree engine would execute for that work item — same rounding
-// primitives, same operation charging — buffers, counts, and errors are
-// bit-for-bit identical between the engines.
+// the reference tree walker (see Reference) would execute for that work
+// item — same rounding primitives, same operation charging — buffers,
+// counts, and errors are bit-for-bit identical between the engines.
 
 // DefaultStrip is the number of work items per batch strip when
 // ExecEnv.Strip is zero. 256 lanes keep the whole register-file arena in

@@ -3,20 +3,23 @@ package kir
 import (
 	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/precision"
 )
 
 // Differential tests: the batch engine must be observationally identical
-// to the tree engine — bit-identical buffer contents (including NaN/Inf
-// payloads and fp16 subnormals), deeply-equal dynamic counts, and
-// byte-identical error strings, for every kernel shape, precision
-// binding, and strip size.
+// to the Reference tree walker — bit-identical buffer contents
+// (including NaN/Inf payloads and fp16 subnormals), deeply-equal dynamic
+// counts, and byte-identical error strings, for every kernel shape,
+// precision binding, and strip size.
 
 // diffKernels builds the kernel shapes the differential tests sweep:
 // accumulator loops, divergent (gid-dependent) trip counts, branches,
-// selects, transcendentals, and multi-buffer streaming.
+// selects, transcendentals, multi-buffer streaming, and a dyn-tape
+// select.
 func diffKernels() map[string]*Kernel {
 	ks := map[string]*Kernel{}
 
@@ -81,6 +84,15 @@ func diffKernels() map[string]*Kernel {
 			Put("C", Gid(0), Div(V("acc"), Max(ItoF(P("n")), F(1)))),
 		).MustBuild()
 
+	// A float select between two buffers: under a binding that computes
+	// A and B at different precisions, the sum's precision differs
+	// across lanes, so the binding runs on a dyn tape.
+	ks["mixedsel"] = NewKernel("mixedsel", 1).In("A").In("B").Out("C").Ints("n").
+		Body(
+			LetF("v", Cond(Lt(ItoF(Gid(0)), F(8)), At("A", Gid(0)), At("B", Gid(0)))),
+			Put("C", Gid(0), Add(V("v"), V("v"))),
+		).MustBuild()
+
 	return ks
 }
 
@@ -107,29 +119,27 @@ func diffData(n int, seed uint64) []float64 {
 }
 
 // mkEnv builds an ExecEnv factory over fresh buffers with the given
-// storage precisions, filled from diffData.
-func mkEnv(bufs []precision.Type, lens []int, computeAs []precision.Type, args []int64, global [2]int) func() *ExecEnv {
+// storage precisions, buffer i filled from diffData(seed+i+1).
+func mkEnv(seed uint64, bufs []precision.Type, lens []int, computeAs []precision.Type, args []int64, global [2]int) func() *ExecEnv {
 	return func() *ExecEnv {
 		env := &ExecEnv{IntArgs: args, Global: global, ComputeAs: computeAs}
 		for i, t := range bufs {
 			a := precision.NewArray(t, lens[i])
-			precision.RoundSlice(a.Data(), diffData(lens[i], uint64(i+1)), t)
+			precision.RoundSlice(a.Data(), diffData(lens[i], seed+uint64(i+1)), t)
 			env.Bufs = append(env.Bufs, a)
 		}
 		return env
 	}
 }
 
-// runBothEngines runs p through both engines on identically-initialized
-// environments and requires bit-identical buffers, equal counts, and
-// identical errors.
+// runBothEngines runs p on the batch engine and on its Reference twin
+// over identically-initialized environments and requires bit-identical
+// buffers, equal counts, and identical errors.
 func runBothEngines(t *testing.T, p *Program, mk func() *ExecEnv) {
 	t.Helper()
 	envT := mk()
-	envT.Engine = EngineTree
-	cT, errT := p.Run(envT)
+	cT, errT := p.Reference().Run(envT)
 	envB := mk()
-	envB.Engine = EngineBatch
 	cB, errB := p.Run(envB)
 
 	switch {
@@ -198,7 +208,7 @@ func TestBatchDifferentialKernels(t *testing.T) {
 				global = [2]int{n, n}
 			}
 			for _, ca := range bindings(len(k.Bufs)) {
-				runBothEngines(t, p, mkEnv(storage, lens, ca, []int64{int64(n)}, global))
+				runBothEngines(t, p, mkEnv(0, storage, lens, ca, []int64{int64(n)}, global))
 			}
 			// Storage-precision variants (memory-object scaling).
 			for _, st := range precision.All {
@@ -206,10 +216,54 @@ func TestBatchDifferentialKernels(t *testing.T) {
 				for i := range sto {
 					sto[i] = st
 				}
-				runBothEngines(t, p, mkEnv(sto, lens, nil, []int64{int64(n)}, global))
+				runBothEngines(t, p, mkEnv(0, sto, lens, nil, []int64{int64(n)}, global))
 			}
 		})
 	}
+}
+
+// FuzzBatchVsReference generalizes the sweeps above: it picks a
+// diffKernels shape, a storage and compute precision per buffer (four
+// bits each of prec: storage All[b&3%3], compute override b>>2&3 with 0
+// meaning none), the diffData seed, the problem size n, the strip size
+// (0 = DefaultStrip), and an NDRange overshoot past n that drives
+// gid-indexed accesses out of bounds, then requires the batch engine and
+// the Reference walker to agree.
+func FuzzBatchVsReference(f *testing.F) {
+	ks := diffKernels()
+	names := make([]string, 0, len(ks))
+	for name := range ks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	progs := make([]*Program, len(names))
+	for i, name := range names {
+		progs[i] = MustCompile(ks[name])
+	}
+	f.Fuzz(func(t *testing.T, kernel uint8, prec uint16, seed uint64, n uint8, strip uint16, over uint8) {
+		p := progs[int(kernel)%len(progs)]
+		nb := len(p.Kernel.Bufs)
+		size := int(n)%24 + 1
+		storage := make([]precision.Type, nb)
+		ca := make([]precision.Type, nb)
+		lens := make([]int, nb)
+		for i := range storage {
+			b := prec >> (4 * i)
+			storage[i] = precision.All[int(b&3)%3]
+			ca[i] = precision.Type(b >> 2 & 3)
+			lens[i] = size * size
+		}
+		global := [2]int{size + int(over), 1}
+		if p.Kernel.Dims == 2 {
+			global[1] = size
+		}
+		mk := mkEnv(seed, storage, lens, ca, []int64{int64(size)}, global)
+		runBothEngines(t, p, func() *ExecEnv {
+			env := mk()
+			env.Strip = int(strip) % 1025
+			return env
+		})
+	})
 }
 
 func TestBatchDifferentialStripSizes(t *testing.T) {
@@ -218,7 +272,7 @@ func TestBatchDifferentialStripSizes(t *testing.T) {
 	const n = 23
 	for _, strip := range []int{1, 7, 64, 256, 1024} {
 		strip := strip
-		mk := mkEnv([]precision.Type{precision.Double, precision.Double},
+		mk := mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{n * n, n * n}, nil, []int64{int64(n)}, [2]int{n, 1})
 		runBothEngines(t, p, func() *ExecEnv {
 			env := mk()
@@ -237,14 +291,14 @@ func TestBatchFaultIdentity(t *testing.T) {
 		k := NewKernel("oob", 1).In("A").Out("B").Ints("n").
 			Body(Put("B", Gid(0), At("A", Mul(Gid(0), I(3))))).MustBuild()
 		p := MustCompile(k)
-		runBothEngines(t, p, mkEnv([]precision.Type{precision.Double, precision.Double},
+		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{16, 64}, nil, []int64{16}, [2]int{64, 1}))
 	})
 	t.Run("store-oob", func(t *testing.T) {
 		k := NewKernel("oobstore", 1).In("A").Out("B").Ints("n").
 			Body(Put("B", Mul(Gid(0), I(5)), At("A", Gid(0)))).MustBuild()
 		p := MustCompile(k)
-		runBothEngines(t, p, mkEnv([]precision.Type{precision.Double, precision.Double},
+		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{64, 32}, nil, []int64{64}, [2]int{64, 1}))
 	})
 	t.Run("div-zero", func(t *testing.T) {
@@ -257,7 +311,7 @@ func TestBatchFaultIdentity(t *testing.T) {
 				Put("B", Add(Gid(0), V("q")), At("A", Gid(0))),
 			).MustBuild()
 		p := MustCompile(k)
-		runBothEngines(t, p, mkEnv([]precision.Type{precision.Double, precision.Double},
+		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{64, 66}, nil, []int64{64}, [2]int{64, 1}))
 	})
 	t.Run("mod-zero", func(t *testing.T) {
@@ -268,7 +322,7 @@ func TestBatchFaultIdentity(t *testing.T) {
 				Put("B", Min(Add(Gid(0), V("q")), Sub(P("n"), I(1))), At("A", Gid(0))),
 			).MustBuild()
 		p := MustCompile(k)
-		runBothEngines(t, p, mkEnv([]precision.Type{precision.Double, precision.Double},
+		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{64, 64}, nil, []int64{64}, [2]int{64, 1}))
 	})
 }
@@ -280,12 +334,7 @@ func TestBatchFaultIdentity(t *testing.T) {
 // binding of the same kernel stays on the fully-static tape, and that
 // both execute identically to the tree engine.
 func TestBatchDynTape(t *testing.T) {
-	k := NewKernel("mixedsel", 1).In("A").In("B").Out("C").Ints("n").
-		Body(
-			LetF("v", Cond(Lt(ItoF(Gid(0)), F(8)), At("A", Gid(0)), At("B", Gid(0)))),
-			Put("C", Gid(0), Add(V("v"), V("v"))),
-		).MustBuild()
-	p := MustCompile(k)
+	p := MustCompile(diffKernels()["mixedsel"])
 	ca := []precision.Type{precision.Half, precision.Double, precision.Double}
 	if bp := p.batchFor(ca); bp == nil || !bp.dyn {
 		t.Fatal("mixed-precision select binding should compile to a dyn tape")
@@ -294,7 +343,7 @@ func TestBatchDynTape(t *testing.T) {
 	if bp := p.batchFor(uniform); bp == nil || bp.dyn {
 		t.Fatal("uniform binding should compile to a static tape")
 	}
-	runBothEngines(t, p, mkEnv(
+	runBothEngines(t, p, mkEnv(0,
 		[]precision.Type{precision.Double, precision.Double, precision.Double},
 		[]int{16, 16, 16}, ca, []int64{16}, [2]int{16, 1}))
 }
@@ -317,9 +366,8 @@ func TestBatchSupportsAccumulators(t *testing.T) {
 func TestBatchAllocs(t *testing.T) {
 	p := MustCompile(diffKernels()["matmul"])
 	const n = 48
-	env := mkEnv([]precision.Type{precision.Double, precision.Double, precision.Double},
+	env := mkEnv(0, []precision.Type{precision.Double, precision.Double, precision.Double},
 		[]int{n * n, n * n, n * n}, nil, []int64{int64(n)}, [2]int{n, n})()
-	env.Engine = EngineBatch
 	if _, err := p.Run(env); err != nil { // warm the pool and the specialization cache
 		t.Fatal(err)
 	}
@@ -336,24 +384,20 @@ func TestBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchEngineDefault pins the process default and the flag round
-// trip.
-func TestBatchEngineDefault(t *testing.T) {
-	if DefaultEngine() != EngineBatch {
-		t.Fatalf("default engine = %v, want batch", DefaultEngine())
+// TestBatchRejectsUnrebuildableControl strips a compiled loop kernel
+// of its control records, as bytecode from another producer would lack
+// them: Run must refuse it with an error naming the kernel, while the
+// Reference walker, which follows jumps directly, still runs it.
+func TestBatchRejectsUnrebuildableControl(t *testing.T) {
+	p := MustCompile(diffKernels()["matmul"])
+	p.ctrl = nil
+	const n = 8
+	mk := mkEnv(0, []precision.Type{precision.Double, precision.Double, precision.Double},
+		[]int{n * n, n * n, n * n}, nil, []int64{int64(n)}, [2]int{n, n})
+	if _, err := p.Run(mk()); err == nil || !strings.Contains(err.Error(), "kernel matmul:") {
+		t.Fatalf("Run without control records: err = %v, want an error naming kernel matmul", err)
 	}
-	prev := SetDefaultEngine(EngineTree)
-	if prev != EngineBatch || DefaultEngine() != EngineTree {
-		t.Fatal("SetDefaultEngine swap broken")
-	}
-	SetDefaultEngine(prev)
-	for _, s := range []string{"tree", "batch"} {
-		e, err := ParseEngine(s)
-		if err != nil || e.String() != s {
-			t.Fatalf("ParseEngine(%q) = %v, %v", s, e, err)
-		}
-	}
-	if _, err := ParseEngine("simd"); err == nil {
-		t.Fatal("ParseEngine should reject unknown engines")
+	if _, err := p.Reference().Run(mk()); err != nil {
+		t.Fatalf("Reference().Run without control records: %v", err)
 	}
 }

@@ -19,8 +19,8 @@ import (
 // (lane-divergent precision through float selects feeding arithmetic)
 // get a dyn tape instead, which carries the tree engine's dynamic
 // precision per lane. Only a program whose control tree cannot be
-// rebuilt (bytecode the lowerer did not produce) has no specialization
-// and runs on the tree engine.
+// rebuilt (bytecode the lowerer did not produce) has no specialization;
+// Run rejects it with an error.
 
 // bnodeKind classifies batch execution tree nodes.
 type bnodeKind uint8
@@ -62,7 +62,7 @@ type bnode struct {
 // per-binding precision tapes are keyed by the effective compute
 // precision of each buffer argument; bindings without a static
 // resolution get a dyn tape. structOK false (bytecode the lowerer did
-// not produce) means no binding has a tape and Run uses the tree engine.
+// not produce) means no binding has a tape and Run returns an error.
 type batchCache struct {
 	mu       sync.Mutex
 	built    bool
@@ -94,8 +94,8 @@ type batchProg struct {
 
 // batchFor returns the batch specialization for the effective compute
 // precisions ca (one entry per buffer argument, storage precision when
-// no in-kernel override applies), or nil when the binding cannot be
-// executed by the batch engine.
+// no in-kernel override applies), or nil when p's control tree cannot
+// be rebuilt.
 func (p *Program) batchFor(ca []precision.Type) *batchProg {
 	var kb [8]byte
 	key := kb[:0]
@@ -127,18 +127,6 @@ func (p *Program) batchFor(ca []precision.Type) *batchProg {
 	}
 	c.tapes[string(key)] = bp
 	return bp
-}
-
-// BatchSupported reports whether the batch engine can specialize p for
-// the effective compute precisions ca (one valid entry per buffer
-// argument). When false, Run transparently uses the tree engine for
-// such launches. Exported so tests and tooling can verify a kernel
-// suite never silently falls back.
-func (p *Program) BatchSupported(ca []precision.Type) bool {
-	if len(ca) != len(p.Kernel.Bufs) {
-		return false
-	}
-	return p.batchFor(ca) != nil
 }
 
 // buildTree reconstructs the structured control tree of p's bytecode
@@ -323,7 +311,7 @@ func precStep(st []precRange, in *inst, ca []precision.Type) (precision.Type, bo
 // inferPrec runs a forward dataflow fixpoint over the bytecode CFG and
 // resolves every float instruction's result precision for the binding
 // ca. ok=false means some executed operation's precision could differ
-// across lanes, and the binding must run on the tree engine.
+// across lanes, and the binding gets a dyn tape.
 func (p *Program) inferPrec(ca []precision.Type) ([]precision.Type, bool) {
 	bounds := blockBoundaries(p.code)
 	nb := len(bounds) - 1

@@ -22,11 +22,8 @@ type ExecEnv struct {
 	IntArgs []int64
 	// Global is the NDRange size; Global[1] must be 1 for 1D kernels.
 	Global [2]int
-	// Engine selects the interpreter implementation. The zero value
-	// (EngineAuto) uses the process-wide default; see SetDefaultEngine.
-	Engine Engine
 	// Strip overrides the batch engine's strip size (work items executed
-	// per vectorized batch); 0 means DefaultStrip. The tree engine
+	// per vectorized batch); 0 means DefaultStrip. A Reference twin
 	// ignores it. Results are identical at any strip size.
 	Strip int
 }
@@ -101,7 +98,8 @@ type interpState struct {
 // Run executes the program over the NDRange described by env and returns
 // the dynamic counts. Functional effects (stores) land in env.Bufs with
 // storage-precision rounding. Errors report out-of-bounds accesses,
-// argument mismatches, or integer division by zero.
+// argument mismatches, integer division by zero, or bytecode whose
+// control flow the batch engine cannot rebuild.
 func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	k := p.Kernel
 	if len(env.Bufs) != len(k.Bufs) {
@@ -140,16 +138,29 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 		sizes[i] = float64(st.Size())
 	}
 
-	// The batch engine handles every binding of a lowerer-produced
-	// program (lane-divergent precision dataflow runs on a dyn tape);
-	// only a program whose control tree cannot be rebuilt falls back to
-	// the tree walker below.
-	if resolveEngine(env.Engine) == EngineBatch {
-		if bp := p.batchFor(computeAs); bp != nil {
-			return bp.run(env, computeAs, converts, sizes, gx, gy)
-		}
+	if p.reference {
+		return p.runTree(env, computeAs, converts, sizes, gx, gy)
 	}
+	// The batch engine handles every binding of a lowerer-produced
+	// program (lane-divergent precision dataflow runs on a dyn tape).
+	bp := p.batchFor(computeAs)
+	if bp == nil {
+		return Counts{}, fmt.Errorf("kernel %s: control flow not produced by the lowerer; the batch engine cannot rebuild it", k.Name)
+	}
+	return bp.run(env, computeAs, converts, sizes, gx, gy)
+}
 
+// Reference returns a twin of p whose Run walks the bytecode one work
+// item at a time, tracking precision per register: the reference
+// semantics the batch engine must match bit for bit, for differential
+// tests. The twin shares p's bytecode read-only.
+func (p *Program) Reference() *Program {
+	return &Program{Kernel: p.Kernel, code: p.code, nIReg: p.nIReg, nFReg: p.nFReg, ctrl: p.ctrl, reference: true}
+}
+
+// runTree is the reference walker behind Reference: every work item in
+// row-major gid order, stopping at the first fault.
+func (p *Program) runTree(env *ExecEnv, computeAs []precision.Type, converts []bool, sizes []float64, gx, gy int) (Counts, error) {
 	st := &interpState{
 		ireg:  make([]int64, p.nIReg),
 		freg:  make([]float64, p.nFReg),
@@ -162,7 +173,7 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 		for x := 0; x < gx; x++ {
 			gid[0] = int64(x)
 			if err := p.runItem(st, env, gid, computeAs, converts, sizes); err != nil {
-				return Counts{}, fmt.Errorf("kernel %s at gid (%d,%d): %w", k.Name, x, y, err)
+				return Counts{}, fmt.Errorf("kernel %s at gid (%d,%d): %w", p.Kernel.Name, x, y, err)
 			}
 		}
 	}

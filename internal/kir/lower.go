@@ -102,6 +102,9 @@ type Program struct {
 	// batch holds the per-precision-binding vectorized specializations,
 	// built lazily and shared by concurrent trials.
 	batch batchCache
+	// reference marks a twin made by Reference: Run walks it one work
+	// item at a time instead of running the batch engine.
+	reference bool
 }
 
 // Compile verifies, optimizes (constant folding, dead-let elimination,

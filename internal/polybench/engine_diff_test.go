@@ -7,17 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/kir"
 	"repro/internal/precision"
 	"repro/internal/prog"
+	"repro/internal/wltest"
 )
 
 // TestEngineDifferentialSuite is the fuzz-style acceptance test for the
-// batch interpreter: every registered PolyBench benchmark, under random
-// per-object precision bindings in both scaling modes, must produce a
-// Result identical to the tree walker — output buffers bit for bit
-// (including any Inf/NaN produced by half-precision overflow), and the
-// full op/event accounting deeply equal.
+// batch interpreter: every registered PolyBench benchmark, at each
+// uniform precision and under random per-object precision bindings in
+// both scaling modes, must produce a Result identical to the Reference
+// tree walker — output buffers bit for bit (including any Inf/NaN
+// produced by half-precision overflow), and the full op/event
+// accounting deeply equal. A kernel the batch engine cannot run fails
+// here as an error mismatch.
 func TestEngineDifferentialSuite(t *testing.T) {
 	sys := hw.System1()
 	rng := rand.New(rand.NewSource(7))
@@ -26,7 +28,9 @@ func TestEngineDifferentialSuite(t *testing.T) {
 	for _, w := range SmallSuite() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			cfgs := []*prog.Config{nil, prog.NewConfig(w, precision.Half)}
+			ref := wltest.OnReference(w)
+			cfgs := []*prog.Config{nil, prog.NewConfig(w, precision.Half),
+				prog.NewConfig(w, precision.Single), prog.NewConfig(w, precision.Double)}
 			for trial := 0; trial < 4; trial++ {
 				cfg := &prog.Config{Objects: map[string]prog.ObjectConfig{}}
 				inKernel := trial%2 == 1
@@ -39,11 +43,8 @@ func TestEngineDifferentialSuite(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 			for i, cfg := range cfgs {
-				prev := kir.SetDefaultEngine(kir.EngineTree)
-				tree, errT := prog.Run(sys, w, prog.InputDefault, cfg)
-				kir.SetDefaultEngine(kir.EngineBatch)
+				tree, errT := prog.Run(sys, ref, prog.InputDefault, cfg)
 				batch, errB := prog.Run(sys, w, prog.InputDefault, cfg)
-				kir.SetDefaultEngine(prev)
 
 				if (errT == nil) != (errB == nil) ||
 					(errT != nil && errT.Error() != errB.Error()) {
@@ -73,26 +74,5 @@ func TestEngineDifferentialSuite(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBatchCoversSuite asserts the batch compiler actually specializes
-// every kernel of every benchmark at every uniform compute precision —
-// i.e. the suite never silently falls back to the tree walker, which
-// would invalidate the performance claims.
-func TestBatchCoversSuite(t *testing.T) {
-	for _, w := range SmallSuite() {
-		for name, p := range w.Kernels {
-			nb := len(p.Kernel.Bufs)
-			for _, tp := range precision.All {
-				ca := make([]precision.Type, nb)
-				for i := range ca {
-					ca[i] = tp
-				}
-				if !p.BatchSupported(ca) {
-					t.Errorf("%s/%s: not batch-supported at uniform %v", w.Name, name, tp)
-				}
-			}
-		}
 	}
 }

@@ -10,11 +10,15 @@ import (
 	"repro/internal/precision"
 )
 
-// withEngine runs fn with the process-wide interpreter engine pinned.
-func withEngine(e kir.Engine, fn func()) {
-	prev := kir.SetDefaultEngine(e)
-	defer kir.SetDefaultEngine(prev)
-	fn()
+// onReference returns a copy of w whose kernels run on their Reference
+// twins (wltest.OnReference, which this package's tests cannot import).
+func onReference(w *Workload) *Workload {
+	cp := *w
+	cp.Kernels = map[string]*kir.Program{}
+	for name, p := range w.Kernels {
+		cp.Kernels[name] = p.Reference()
+	}
+	return &cp
 }
 
 // requireSameResult asserts two Results are observationally identical,
@@ -58,28 +62,22 @@ func engineConfigs(w *Workload) []*Config {
 	return out
 }
 
-// TestEngineResultIdentity runs the same (workload, config) on both
-// interpreter engines and requires identical Results — outputs, traces,
-// event accounting, and simulated times.
+// TestEngineResultIdentity runs the same (workload, config) on the batch
+// engine and on the Reference tree walker and requires identical Results
+// — outputs, traces, event accounting, and simulated times.
 func TestEngineResultIdentity(t *testing.T) {
 	sys := hw.System1()
 	w := testWorkload(1 << 10)
+	ref := onReference(w)
 	for _, cfg := range engineConfigs(w) {
-		var tree, batch *Result
-		withEngine(kir.EngineTree, func() {
-			r, err := Run(sys, w, InputDefault, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree = r
-		})
-		withEngine(kir.EngineBatch, func() {
-			r, err := Run(sys, w, InputDefault, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch = r
-		})
+		tree, err := Run(sys, ref, InputDefault, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := Run(sys, w, InputDefault, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		requireSameResult(t, "tree-vs-batch", tree, batch)
 	}
 }
@@ -90,37 +88,32 @@ func TestEngineResultIdentity(t *testing.T) {
 func TestEngineEvalCacheCrossReplay(t *testing.T) {
 	sys := hw.System1()
 	w := testWorkload(1 << 10)
+	ref := onReference(w)
 	dirs := []struct {
 		name       string
-		warm, read kir.Engine
+		warm, read *Workload
 	}{
-		{"tree-warms-batch-reads", kir.EngineTree, kir.EngineBatch},
-		{"batch-warms-tree-reads", kir.EngineBatch, kir.EngineTree},
+		{"tree-warms-batch-reads", ref, w},
+		{"batch-warms-tree-reads", w, ref},
 	}
 	for _, d := range dirs {
 		t.Run(d.name, func(t *testing.T) {
 			cache := NewEvalCache()
 			for _, cfg := range engineConfigs(w) {
-				var warmed *Result
-				withEngine(d.warm, func() {
-					r, err := RunWithCache(sys, w, InputDefault, cfg, cache)
-					if err != nil {
-						t.Fatal(err)
-					}
-					warmed = r
-				})
-				withEngine(d.read, func() {
-					cached, err := RunWithCache(sys, w, InputDefault, cfg, cache)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, "cached-cross-engine", warmed, cached)
-					plain, err := Run(sys, w, InputDefault, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, "cached-vs-plain", plain, cached)
-				})
+				warmed, err := RunWithCache(sys, d.warm, InputDefault, cfg, cache)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cached, err := RunWithCache(sys, d.read, InputDefault, cfg, cache)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, "cached-cross-engine", warmed, cached)
+				plain, err := Run(sys, d.read, InputDefault, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, "cached-vs-plain", plain, cached)
 			}
 		})
 	}

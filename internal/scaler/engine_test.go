@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/kir"
 	"repro/internal/prog"
 	"repro/internal/wltest"
 )
@@ -13,7 +12,8 @@ import (
 // TestEngineSearchBitIdentical is the system-level acceptance check for
 // the batch interpreter: a full search must produce the same decision,
 // accounting, and byte-identical observability artifacts whether trials
-// execute on the tree walker or the batch engine, at any worker count.
+// execute on the Reference tree walker (wltest.OnReference) or the batch
+// engine, at any worker count.
 func TestEngineSearchBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -25,11 +25,8 @@ func TestEngineSearchBitIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				prev := kir.SetDefaultEngine(kir.EngineTree)
-				seq, traceT, csvT, explT := observedSearch(t, tc.w, tc.sys, workers)
-				kir.SetDefaultEngine(kir.EngineBatch)
+				seq, traceT, csvT, explT := observedSearch(t, wltest.OnReference(tc.w), tc.sys, workers)
 				bat, traceB, csvB, explB := observedSearch(t, tc.w, tc.sys, workers)
-				kir.SetDefaultEngine(prev)
 
 				if a, b := configKey(tc.w, seq.Config), configKey(tc.w, bat.Config); a != b {
 					t.Errorf("workers=%d: chosen config differs:\ntree:  %s\nbatch: %s", workers, a, b)

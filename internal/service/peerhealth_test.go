@@ -235,19 +235,40 @@ func TestGateAbandonedTrialReleasesSlot(t *testing.T) {
 
 // Dials, probes and healthz reads from many goroutines at once leave
 // the gauges mirroring the state, and a trial ticket only on a
-// half-open gate.
+// half-open gate. A round in which the scheduler never lets a dial see
+// an open gate admits no trial and proves nothing about tickets, so
+// rounds repeat, each checked in full, until one admits a trial.
 func TestPeerHealthConcurrent(t *testing.T) {
+	for round := 0; round < 50 && !t.Failed(); round++ {
+		if concurrentRound(t) > 0 {
+			return
+		}
+	}
+	if !t.Failed() {
+		t.Error("no half-open trial was admitted; the test exercised nothing")
+	}
+}
+
+// concurrentRound runs one round of TestPeerHealthConcurrent on a fresh
+// peer and returns the number of trial tickets it issued.
+func concurrentRound(t *testing.T) uint64 {
 	o := obs.New()
 	h := newPeerHealth("p:1", o.Metrics(), nil)
-	var clock atomic.Int64 // every read moves it 10ms, so backoffs elapse
-	h.now = func() time.Time { return time.Unix(0, clock.Add(int64(10*time.Millisecond))) }
+	// Every read moves the clock past the longest jittered backoff, so
+	// the first dial to find the gate open is admitted as its trial.
+	var clock atomic.Int64
+	h.now = func() time.Time { return time.Unix(0, clock.Add(int64(gateMaxBackoff*5/4+time.Millisecond))) }
 	const n = 3000
+	var probing atomic.Bool
+	probing.Store(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
+			// Dial until the probes are done as well, so dials overlap
+			// the down flips that open the gate.
+			for i := 0; i < n || probing.Load(); i++ {
 				if ok, trial := h.allow(); ok {
 					h.report(dialResult((g+i)%3), trial)
 				}
@@ -264,6 +285,7 @@ func TestPeerHealthConcurrent(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		defer probing.Store(false)
 		for i := 0; i < n; i++ {
 			h.observe(i%5 < 3) // runs of three up, two down: flips both ways
 		}
@@ -276,9 +298,6 @@ func TestPeerHealthConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if h.tickets == 0 {
-		t.Error("no half-open trial was admitted; the test exercised nothing")
-	}
 	m := o.Metrics()
 	if g := m.Gauge("service_breaker_state", obs.L("peer", "p:1")).Value(); g != float64(gateOf(h)) {
 		t.Errorf("service_breaker_state = %v, gate is %v", g, gateOf(h))
@@ -294,6 +313,7 @@ func TestPeerHealthConcurrent(t *testing.T) {
 		m.Counter("service_probe", obs.L("result", "fail")).Value(); ok != 3*n/5 || fail != 2*n/5 {
 		t.Errorf("probe counts ok=%v fail=%v, want %v and %v", ok, fail, 3*n/5, 2*n/5)
 	}
+	return h.tickets
 }
 
 func TestProberFallThenRise(t *testing.T) {

@@ -4,7 +4,8 @@
 // program whose values overflow binary16, and a compute-heavy program
 // dominated by kernel time. The Polybench suite (internal/polybench)
 // provides the real evaluation workloads; these exist so framework tests
-// can force specific decision-maker paths.
+// can force specific decision-maker paths. OnReference moves any workload
+// onto the reference interpreter for batch-vs-reference differentials.
 package wltest
 
 import (
@@ -200,4 +201,16 @@ func rangeScale(set prog.InputSet, def float64) float64 {
 	default:
 		return def
 	}
+}
+
+// OnReference returns a copy of w whose kernels run on their
+// kir.Program.Reference twins. Scripts launch kernels by name, so the
+// copy is the reference side of a batch-vs-reference differential.
+func OnReference(w *prog.Workload) *prog.Workload {
+	cp := *w
+	cp.Kernels = make(map[string]*kir.Program, len(w.Kernels))
+	for name, p := range w.Kernels {
+		cp.Kernels[name] = p.Reference()
+	}
+	return &cp
 }

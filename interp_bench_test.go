@@ -1,5 +1,6 @@
-// Interpreter-engine benchmarks: per-kernel tree-vs-batch sub-benchmarks
-// over representative PolyBench kernels, plus a strip-size sweep. These
+// Interpreter benchmarks: per-kernel sub-benchmarks of the batch engine
+// against the Reference tree walker over representative PolyBench
+// kernels, plus a strip-size sweep. These
 // isolate a single kernel launch (no transfers, no search, no cache), so
 // the ratio between the /batch and /tree variants of a kernel is the
 // interpreter speedup itself and is what the CI bench gate checks.
@@ -73,14 +74,17 @@ func interpEnv(b *testing.B, spec interpBenchSpec) *kir.ExecEnv {
 	return &kir.ExecEnv{Bufs: bufs, IntArgs: spec.args, Global: spec.global}
 }
 
-// runInterpBench executes one kernel repeatedly under a pinned engine.
-func runInterpBench(b *testing.B, spec interpBenchSpec, engine kir.Engine, strip int) {
+// runInterpBench executes one kernel repeatedly on the batch engine, or
+// on its Reference twin when reference is set.
+func runInterpBench(b *testing.B, spec interpBenchSpec, reference bool, strip int) {
 	p := spec.workload.Kernels[spec.kernel]
 	if p == nil {
 		b.Fatalf("workload %s has no kernel %s", spec.workload.Name, spec.kernel)
 	}
+	if reference {
+		p = p.Reference()
+	}
 	env := interpEnv(b, spec)
-	env.Engine = engine
 	env.Strip = strip
 	items := spec.global[0] * spec.global[1]
 	// Warm once so compile-time work (batch tape construction) is not
@@ -98,17 +102,18 @@ func runInterpBench(b *testing.B, spec interpBenchSpec, engine kir.Engine, strip
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
 }
 
-// BenchmarkProgRun compares the two interpreter engines kernel by
-// kernel. The batch/tree ns/op ratio per kernel is the interpreter
-// speedup; the CI bench gate requires it to stay above its floor.
+// BenchmarkProgRun compares the batch engine (/batch) with the
+// Reference tree walker (/tree) kernel by kernel. The batch/tree ns/op
+// ratio per kernel is the interpreter speedup; the CI bench gate
+// requires it to stay above its floor.
 func BenchmarkProgRun(b *testing.B) {
 	for _, spec := range interpBenchSpecs() {
 		spec := spec
 		b.Run(spec.name+"/batch", func(b *testing.B) {
-			runInterpBench(b, spec, kir.EngineBatch, 0)
+			runInterpBench(b, spec, false, 0)
 		})
 		b.Run(spec.name+"/tree", func(b *testing.B) {
-			runInterpBench(b, spec, kir.EngineTree, 0)
+			runInterpBench(b, spec, true, 0)
 		})
 	}
 }
@@ -123,7 +128,7 @@ func BenchmarkBatchStrip(b *testing.B) {
 	for _, strip := range []int{64, 256, 1024} {
 		strip := strip
 		b.Run(strconv.Itoa(strip), func(b *testing.B) {
-			runInterpBench(b, spec, kir.EngineBatch, strip)
+			runInterpBench(b, spec, false, strip)
 		})
 	}
 }

@@ -51,14 +51,11 @@ func LoadFramework(sys *hw.System, dbJSON []byte) (*Framework, error) {
 	return &Framework{sys: sys, db: db}, nil
 }
 
-// Clone returns a framework with a private copy of the system model and
-// the inspector database, sharing nothing mutable with the receiver.
-// Parallel experiment workers clone the framework once per worker so
-// that concurrent searches never alias each other's state (the database
-// caches on-demand measurements; see inspect.DB).
+// Clone returns a framework with a private copy of the system model,
+// whose per-run fields (Faults, FaultSalt) the caller may then set. The
+// inspector database is immutable and shared by reference.
 func (f *Framework) Clone() *Framework {
-	sys := f.sys.Clone()
-	return &Framework{sys: sys, db: f.db.CloneFor(sys)}
+	return &Framework{sys: f.sys.Clone(), db: f.db}
 }
 
 // System returns the target system.

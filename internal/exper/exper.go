@@ -373,16 +373,16 @@ func (r *Runner) compareTasks(sys *hw.System, opts scaler.Options) []prefetchTas
 
 // prefetch executes the not-yet-cached tasks across Jobs workers and
 // merges the results into the runner caches in task order. Each worker
-// owns cloned frameworks (cloned system model + cloned inspector
-// database), so no mutable state is shared; results land in an
-// index-addressed slice and the sequential merge makes cache contents —
-// and therefore every table built from them — independent of worker
-// scheduling. When several tasks fail, every distinct failure is
-// reported (joined in task order, lowest index first), so one bad
-// workload cannot mask another. Tasks carrying an observer are skipped:
-// observed runs must execute in the sequential schedule to keep their
-// traces deterministic. Checkpointed tasks are restored during the
-// (sequential) filter, before any worker starts.
+// owns cloned frameworks (a cloned system model; the inspector database
+// is immutable and shared by reference), so no mutable state is shared;
+// results land in an index-addressed slice and the sequential merge
+// makes cache contents — and therefore every table built from them —
+// independent of worker scheduling. When several tasks fail, every
+// distinct failure is reported (joined in task order, lowest index
+// first), so one bad workload cannot mask another. Tasks carrying an
+// observer are skipped: observed runs must execute in the sequential
+// schedule to keep their traces deterministic. Checkpointed tasks are
+// restored during the (sequential) filter, before any worker starts.
 func (r *Runner) prefetch(tasks []prefetchTask) error {
 	if r.Jobs <= 1 {
 		return nil

@@ -29,9 +29,8 @@ func (r *Runner) NoiseSweep(base *hw.System, amplitudes []float64) (*Table, erro
 		sys := *base
 		sys.TimingJitter = amp
 		sys.JitterSeed = int64(1000 + i)
-		// A jittered system needs its own framework handle, but the
-		// inspector database is identical (estimator-based), so reuse the
-		// base framework's DB via a fresh scale pass per workload.
+		// A jittered system gets its own framework (the cache keys on
+		// jitter), inspected afresh for each amplitude.
 		fw := r.Framework(&sys)
 		var speeds []float64
 		minQ := 1.0

@@ -14,10 +14,12 @@
 package inspect
 
 import (
+	"encoding"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"sort"
-	"sync"
 
 	"repro/internal/convert"
 	"repro/internal/hw"
@@ -40,19 +42,16 @@ type Measurement struct {
 	Time  float64
 }
 
-// DB is the inspector result database for one system.
-//
-// Reads looked like pure queries but were not: Estimate measures unknown
-// plans on demand and caches the curve, so a DB shared between
-// goroutines is mutated by reads. The mutex makes that lazy fill-in
-// safe for concurrent use; Clone gives each parallel worker a fully
-// private database when isolation is preferred over sharing.
+// DB is the inspector result database for one system. It is immutable
+// once Inspect, InspectSizes or Load returns, so one DB is shared by
+// reference between any number of goroutines.
 type DB struct {
-	sys   *hw.System
-	sizes []int
-
-	mu     sync.Mutex
+	sys    *hw.System
+	sizes  []int
 	curves map[probeKey][]float64 // time per grid size, parallel to sizes
+	// hashState is the FNV-64a state after hashing the MarshalJSON
+	// bytes, recorded once so fingerprints never re-marshal the DB.
+	hashState []byte
 }
 
 // DefaultSizes is the probe grid in elements: powers of two from 256 to
@@ -77,20 +76,37 @@ func InspectSizes(sys *hw.System, sizes []int) *DB {
 	for _, host := range types {
 		for _, dev := range types {
 			for _, plan := range convert.CandidatePlans(&sys.CPU, host, dev, types) {
-				hk := probeKey{Dir: ocl.DirHtoD, Host: host, Dev: dev, Plan: plan}
-				dk := probeKey{Dir: ocl.DirDtoH, Host: host, Dev: dev, Plan: plan}
-				hc := make([]float64, len(sizes))
-				dc := make([]float64, len(sizes))
-				for i, n := range sizes {
-					hc[i] = convert.EstimateHtoD(sys, n, host, dev, plan)
-					dc[i] = convert.EstimateDtoH(sys, n, dev, host, plan)
+				for _, dir := range []ocl.Dir{ocl.DirHtoD, ocl.DirDtoH} {
+					db.curves[probeKey{Dir: dir, Host: host, Dev: dev, Plan: plan}] = db.measure(dir, host, dev, plan)
 				}
-				db.curves[hk] = hc
-				db.curves[dk] = dc
 			}
 		}
 	}
+	return db.seal()
+}
+
+// seal records the hasher state over the canonical serialization. Only
+// a non-finite time fails to encode: JSON input cannot hold one, and
+// only a broken system model (a zero-bandwidth bus, say) measures one.
+func (db *DB) seal() *DB {
+	data, err := db.MarshalJSON()
+	if err != nil {
+		panic(fmt.Sprintf("inspect: %s: %v", db.sys.Name, err))
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	db.hashState, _ = h.(encoding.BinaryMarshaler).MarshalBinary() // cannot fail for fnv
 	return db
+}
+
+// Hash returns a fresh FNV-64a hasher already fed with the MarshalJSON
+// bytes of the database, ready for more fields to be written.
+func (db *DB) Hash() hash.Hash64 {
+	h := fnv.New64a()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(db.hashState); err != nil {
+		panic(err) // the state was marshaled by the same hasher type
+	}
+	return h
 }
 
 // System returns the inspected system.
@@ -101,34 +117,7 @@ func (db *DB) Sizes() []int { return db.sizes }
 
 // NumCurves returns the number of measured (direction, endpoints, plan)
 // curves.
-func (db *DB) NumCurves() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.curves)
-}
-
-// Clone returns an independent database bound to the same system: the
-// curve map is copied so later on-demand measurements in either copy
-// never touch the other. The measured curves themselves are immutable
-// after insertion and are shared.
-func (db *DB) Clone() *DB { return db.CloneFor(db.sys) }
-
-// CloneFor is Clone with the copy bound to a different *System value —
-// typically sys.Clone() — so a worker can own both its hardware model
-// and its database. The system must describe identical hardware (same
-// name); timings would otherwise be meaningless.
-func (db *DB) CloneFor(sys *hw.System) *DB {
-	if sys.Name != db.sys.Name {
-		panic(fmt.Sprintf("inspect: CloneFor %q on a database inspected for %q", sys.Name, db.sys.Name))
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := &DB{sys: sys, sizes: db.sizes, curves: make(map[probeKey][]float64, len(db.curves))}
-	for k, v := range db.curves {
-		out.curves[k] = v
-	}
-	return out
-}
+func (db *DB) NumCurves() int { return len(db.curves) }
 
 // interp linearly interpolates a curve at n elements, extrapolating flat
 // below the grid and linearly above it.
@@ -154,29 +143,28 @@ func (db *DB) interp(curve []float64, n int) float64 {
 	return y0 + (y1-y0)*frac
 }
 
+// measure evaluates one plan's curve over the probe grid.
+func (db *DB) measure(dir ocl.Dir, hostType, devType precision.Type, plan convert.Plan) []float64 {
+	curve := make([]float64, len(db.sizes))
+	for i, sz := range db.sizes {
+		if dir == ocl.DirHtoD {
+			curve[i] = convert.EstimateHtoD(db.sys, sz, hostType, devType, plan)
+		} else {
+			curve[i] = convert.EstimateDtoH(db.sys, sz, devType, hostType, plan)
+		}
+	}
+	return curve
+}
+
 // Estimate predicts the time of the given plan for a transfer of n
 // elements between hostType (host side) and devType (device side) in the
-// given direction. Unknown plans are measured on demand and cached;
-// concurrent estimates of the same unknown plan measure redundantly but
-// deterministically (both goroutines compute the same curve, either
-// insertion wins).
+// given direction. A plan the inspector never probed (an unlisted thread
+// count, say) is measured afresh and not stored: the database never
+// changes after construction.
 func (db *DB) Estimate(dir ocl.Dir, n int, hostType, devType precision.Type, plan convert.Plan) float64 {
-	key := probeKey{Dir: dir, Host: hostType, Dev: devType, Plan: plan}
-	db.mu.Lock()
-	curve, ok := db.curves[key]
-	db.mu.Unlock()
+	curve, ok := db.curves[probeKey{Dir: dir, Host: hostType, Dev: devType, Plan: plan}]
 	if !ok {
-		curve = make([]float64, len(db.sizes))
-		for i, sz := range db.sizes {
-			if dir == ocl.DirHtoD {
-				curve[i] = convert.EstimateHtoD(db.sys, sz, hostType, devType, plan)
-			} else {
-				curve[i] = convert.EstimateDtoH(db.sys, sz, devType, hostType, plan)
-			}
-		}
-		db.mu.Lock()
-		db.curves[key] = curve
-		db.mu.Unlock()
+		curve = db.measure(dir, hostType, devType, plan)
 	}
 	return db.interp(curve, n)
 }
@@ -234,8 +222,6 @@ type curveJSON struct {
 
 // MarshalJSON serializes the database (system name, grid, curves).
 func (db *DB) MarshalJSON() ([]byte, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	out := dbJSON{System: db.sys.Name, Sizes: db.sizes}
 	keys := make([]probeKey, 0, len(db.curves))
 	for k := range db.curves {
@@ -277,8 +263,13 @@ func Load(sys *hw.System, data []byte) (*DB, error) {
 	if in.System != sys.Name {
 		return nil, fmt.Errorf("inspect: database is for system %q, not %q", in.System, sys.Name)
 	}
-	if len(in.Sizes) == 0 {
-		return nil, fmt.Errorf("inspect: database has no size grid")
+	if len(in.Sizes) < 2 {
+		return nil, fmt.Errorf("inspect: size grid has %d points, need at least 2", len(in.Sizes))
+	}
+	for i, n := range in.Sizes {
+		if n <= 0 || (i > 0 && n <= in.Sizes[i-1]) {
+			return nil, fmt.Errorf("inspect: size grid %v is not strictly ascending and positive", in.Sizes)
+		}
 	}
 	db := &DB{sys: sys, sizes: in.Sizes, curves: map[probeKey][]float64{}}
 	for _, c := range in.Curves {
@@ -291,5 +282,5 @@ func Load(sys *hw.System, data []byte) (*DB, error) {
 		}
 		db.curves[key] = c.Times
 	}
-	return db, nil
+	return db.seal(), nil
 }

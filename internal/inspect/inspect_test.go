@@ -187,6 +187,13 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(hw.System1(), []byte(`{"system":"system1","sizes":[1,2],"curves":[{"times":[1]}]}`)); err == nil {
 		t.Error("curve/grid mismatch should fail")
 	}
+	// Interpolation needs a final segment and a sorted grid: each of
+	// these loaded before and then panicked or flattened in Estimate.
+	for _, sizes := range []string{"[1024]", "[4096,1024,1024]", "[1024,1024,4096]", "[1024,512]", "[0,1024]", "[-4,1024]"} {
+		if _, err := Load(hw.System1(), []byte(`{"system":"system1","sizes":`+sizes+`}`)); err == nil {
+			t.Errorf("size grid %s should fail", sizes)
+		}
+	}
 }
 
 func TestBestPlanWiresAtNarrowTypeDtoH(t *testing.T) {

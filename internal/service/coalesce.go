@@ -35,13 +35,25 @@ type flight struct {
 	refs int
 }
 
+// join adds a subscriber unless every earlier one has left: such a
+// flight is canceled (or about to be) and can only end in a
+// cancellation its next subscriber never asked for.
+func (f *flight) join() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.refs == 0 {
+		return false
+	}
+	f.refs++
+	return true
+}
+
 // flightRef is one subscriber's reference on a flight. leave is
 // idempotent: it runs on handler exit and — via context.AfterFunc — on
 // client disconnect, whichever comes first.
 type flightRef struct {
 	f    *flight
 	once sync.Once
-	stop func() bool // detaches the AfterFunc watcher
 }
 
 func (r *flightRef) leave() {
@@ -54,30 +66,26 @@ func (r *flightRef) leave() {
 			r.f.cancel()
 		}
 	})
-	if r.stop != nil {
-		r.stop()
-	}
 }
 
 // flightFor returns the flight for a fingerprint and whether the caller
 // is its leader, registering the caller as a subscriber either way. The
 // returned ref must be released with leave (the handler defers it; a
-// client disconnect triggers it early through AfterFunc).
+// client disconnect triggers it early through AfterFunc). The watcher
+// needs no stop: the request context always ends once the handler
+// returns, and a leave after the handler's own is a no-op.
 func (s *Server) flightFor(id string, rctx context.Context) (*flight, *flightRef, bool) {
 	s.fmu.Lock()
-	f, ok := s.flights[id]
-	leader := !ok
-	if !ok {
+	f := s.flights[id]
+	leader := f == nil || !f.join()
+	if leader {
 		ctx, cancel := context.WithCancel(context.Background())
-		f = &flight{id: id, ctx: ctx, cancel: cancel, done: make(chan struct{})}
+		f = &flight{id: id, ctx: ctx, cancel: cancel, done: make(chan struct{}), refs: 1}
 		s.flights[id] = f
 	}
-	f.mu.Lock()
-	f.refs++
-	f.mu.Unlock()
 	s.fmu.Unlock()
 	ref := &flightRef{f: f}
-	ref.stop = context.AfterFunc(rctx, ref.leave)
+	context.AfterFunc(rctx, ref.leave)
 	return f, ref, leader
 }
 
@@ -94,7 +102,9 @@ func (s *Server) flightDone(f *flight, body []byte, trace []byte, err error) {
 			s.store(f.id, body, trace)
 		}
 		s.fmu.Lock()
-		delete(s.flights, f.id)
+		if s.flights[f.id] == f { // a doomed flight may have been replaced
+			delete(s.flights, f.id)
+		}
 		s.fmu.Unlock()
 		close(f.done)
 		f.cancel()

@@ -158,6 +158,42 @@ func TestCoalesceCancelWhenAllSubscribersLeave(t *testing.T) {
 	}
 }
 
+// A flight every subscriber has left can only end in a cancellation: a
+// later identical request must start a fresh flight instead of joining
+// it, and retiring the doomed flight must leave its replacement
+// indexed. The first subscriber's context is canceled up front, so its
+// AfterFunc leave runs at once, concurrently with flightFor (-race).
+func TestDoomedFlightNotJoined(t *testing.T) {
+	srv, err := New(Config{Workload: testWorkloads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const id = "00000000000000aa"
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	doomed, ref, leader := srv.flightFor(id, gone)
+	defer ref.leave()
+	if !leader {
+		t.Fatal("first subscriber is not the leader")
+	}
+	<-doomed.ctx.Done()
+
+	fresh, ref2, leader := srv.flightFor(id, context.Background())
+	defer ref2.leave()
+	if !leader || fresh == doomed {
+		t.Fatal("a request joined a flight every subscriber had left")
+	}
+	srv.flightDone(doomed, nil, nil, context.Canceled)
+	srv.fmu.Lock()
+	indexed := srv.flights[id]
+	srv.fmu.Unlock()
+	if indexed != fresh {
+		t.Fatal("retiring the doomed flight removed its replacement")
+	}
+	srv.flightDone(fresh, nil, nil, context.Canceled)
+}
+
 // The decision LRU must stay consistent when many flights complete and
 // evict concurrently (run under -race). Store/evict/lookup from many
 // goroutines, including duplicate ids racing like coalesced

@@ -75,7 +75,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net"
 	"net/http"
@@ -553,13 +552,9 @@ func (s *Server) prepare(req *api.ScaleRequest) (*scaleJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	job := &scaleJob{fw: fw, w: w, opts: opts, spec: spec}
+	job := &scaleJob{fw: fw, w: w, opts: opts, spec: spec, id: fingerprint(fw, w, opts, spec)}
 	if spec == nil {
 		job.cache = s.evalCache(sysName, w.Name)
-	}
-	job.id, err = s.fingerprint(fw, w, opts, spec)
-	if err != nil {
-		return nil, err
 	}
 	return job, nil
 }
@@ -567,22 +562,19 @@ func (s *Server) prepare(req *api.ScaleRequest) (*scaleJob, error) {
 // fingerprint hashes everything that determines the decision: the
 // inspector database (timing curves drive every plan choice), the
 // system and workload identity, and the decision-affecting options.
-// Workers and the eval cache are deliberately excluded — the search
-// outcome and all artifacts are byte-identical for any value of either
-// (the determinism invariant) — as are Retries when no faults are
-// injected, since retry logic never fires on a clean runtime.
-func (s *Server) fingerprint(fw *core.Framework, w *prog.Workload, opts scaler.Options, spec *fault.Spec) (string, error) {
-	db, err := json.Marshal(fw.DB())
-	if err != nil {
-		return "", fmt.Errorf("service: fingerprint: %w", err)
-	}
-	h := fnv.New64a()
-	h.Write(db)
+// The database's canonical bytes were hashed once when it was built;
+// fw.DB().Hash() resumes from that state. Workers and the eval cache
+// are deliberately excluded — the search outcome and all artifacts are
+// byte-identical for any value of either (the determinism invariant) —
+// as are Retries when no faults are injected, since retry logic never
+// fires on a clean runtime.
+func fingerprint(fw *core.Framework, w *prog.Workload, opts scaler.Options, spec *fault.Spec) string {
+	h := fw.DB().Hash()
 	fmt.Fprintf(h, "|sys=%s|w=%s|toq=%x|set=%s", fw.System().Name, w.Name, opts.TOQ, opts.InputSet)
 	if spec != nil {
 		fmt.Fprintf(h, "|faults=%s|retries=%d", spec.String(), opts.Retries)
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // cached returns the response body for a fingerprint, refreshing its

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/polybench"
 	"repro/internal/prog"
 	"repro/internal/scaler"
 	"repro/internal/wltest"
@@ -154,12 +157,14 @@ func TestCancelReleasesWorkerSlot(t *testing.T) {
 	// searches pass straight through (the hook is installed once, before
 	// any traffic, and never mutated — handlers read it concurrently).
 	var once sync.Once
+	canceled := make(chan struct{})
 	srv.testSearchStarted = func(ctx context.Context, bench string) {
 		first := false
 		once.Do(func() { first = true })
 		if first {
 			close(started)
 			<-ctx.Done()
+			close(canceled)
 		}
 	}
 
@@ -182,6 +187,9 @@ func TestCancelReleasesWorkerSlot(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("canceled request returned a response")
 	}
+	// The client gives up before the server notices. Sent earlier, the
+	// second request would join the first search and keep it alive.
+	<-canceled
 
 	// The slot must be free again: a second request completes.
 	resp, body := postScale(t, ts, `{"benchmark":"veccombine"}`)
@@ -297,5 +305,84 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "service_requests") {
 		t.Errorf("metricsz missing request counters:\n%s", body)
+	}
+}
+
+// legacyFingerprint is the decision id computed the way it was before
+// the inspector database hashed itself at construction: FNV-64a over
+// json.Marshal of the whole database, then the request fields.
+func legacyFingerprint(t *testing.T, job *scaleJob) string {
+	t.Helper()
+	db, err := json.Marshal(job.fw.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(db)
+	fmt.Fprintf(h, "|sys=%s|w=%s|toq=%x|set=%s", job.fw.System().Name, job.w.Name, job.opts.TOQ, job.opts.InputSet)
+	if job.spec != nil {
+		fmt.Fprintf(h, "|faults=%s|retries=%d", job.spec.String(), job.opts.Retries)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFingerprintMatchesLegacy pins decision ids across the switch to a
+// database hashed once: journals, ring routing and warm pushes all key
+// on them, so every id must equal the one the per-request marshal gave.
+func TestFingerprintMatchesLegacy(t *testing.T) {
+	small := map[string]*prog.Workload{}
+	for _, w := range polybench.SmallSuite() {
+		small[w.Name] = w
+	}
+	srv, err := New(Config{Workload: func(name string) *prog.Workload { return small[name] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	prepare := func(req *api.ScaleRequest) *scaleJob {
+		t.Helper()
+		job, err := srv.prepare(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+
+	// Ids served by the daemon before the change.
+	for _, tc := range []struct{ body, id string }{
+		{`{"benchmark":"GEMM"}`, "56118bb916e74077"},
+		{`{"benchmark":"ATAX","system":"system3","toq":0.95,"input_set":"random"}`, "ec9ad52a16c2bcb4"},
+	} {
+		var req api.ScaleRequest
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if got := prepare(&req).id; got != tc.id {
+			t.Errorf("%s: id %s, want %s", tc.body, got, tc.id)
+		}
+	}
+
+	checked := 0
+	for _, sys := range []string{"system1", "system1-x8", "system2", "system3"} {
+		for name := range small {
+			for _, toq := range []float64{0.8, 0.9, 0.99} {
+				for _, set := range []string{"default", "image", "random"} {
+					for _, faults := range []string{"", "write:0.01,launch:0.005"} {
+						job := prepare(&api.ScaleRequest{
+							Benchmark: name, System: sys, TOQ: toq, InputSet: set,
+							Faults: faults, FaultSeed: 7,
+						})
+						if want := legacyFingerprint(t, job); job.id != want {
+							t.Errorf("%s/%s toq=%v set=%s faults=%q: id %s, legacy %s",
+								sys, name, toq, set, faults, job.id, want)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked != 4*14*3*3*2 {
+		t.Errorf("checked %d ids, want %d", checked, 4*14*3*3*2)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/precision"
 	"repro/internal/prog"
@@ -67,7 +68,7 @@ type session struct {
 	sysName   string // system preset name, for snapshots
 	w         *prog.Workload
 	baseFw    *core.Framework // shared per-system base; searches clone it
-	runFw     *core.Framework // private clone batches execute on
+	runSys    *hw.System      // private clone batches execute on
 	spec      *fault.Spec
 	faults    string // original wire spec, for snapshots
 	faultSeed uint64
@@ -166,15 +167,15 @@ func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.Sca
 	if sysName == "" {
 		sysName = "system1"
 	}
-	runFw := job.fw.Clone()
-	runFw.System().Faults = job.spec
+	runSys := job.fw.System().Clone()
+	runSys.Faults = job.spec
 	sess := &session{
 		id:        s.nextSessionID(),
 		bench:     req.Benchmark,
 		sysName:   sysName,
 		w:         job.w,
 		baseFw:    job.fw,
-		runFw:     runFw,
+		runSys:    runSys,
 		spec:      job.spec,
 		faults:    req.Faults,
 		faultSeed: req.FaultSeed,
@@ -563,7 +564,7 @@ func (s *Server) publishSession(id, name string, data []byte) {
 func (sess *session) runOnce(set prog.InputSet, cfg *prog.Config) (*prog.Result, error) {
 	var res *prog.Result
 	err := fault.Guard(func() error {
-		r, e := prog.RunWithCache(sess.runFw.System(), sess.w, set, cfg, sess.cache)
+		r, e := prog.RunWithCache(sess.runSys, sess.w, set, cfg, sess.cache)
 		if e != nil {
 			return e
 		}
@@ -801,15 +802,15 @@ func (s *Server) restoreSession(rec persistRecord) {
 		}
 		cfg.Objects[name] = oc
 	}
-	runFw := fw.Clone()
-	runFw.System().Faults = spec
+	runSys := fw.System().Clone()
+	runSys.Faults = spec
 	sess := &session{
 		id:        snap.ID,
 		bench:     snap.Benchmark,
 		sysName:   snap.System,
 		w:         w,
 		baseFw:    fw,
-		runFw:     runFw,
+		runSys:    runSys,
 		spec:      spec,
 		faults:    snap.Faults,
 		faultSeed: snap.FaultSeed,

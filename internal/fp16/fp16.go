@@ -72,7 +72,7 @@ func FromFloat32(f float32) Bits {
 		m := mant >> 13
 		h := sign | Bits((e+expBias)<<mantBits) | Bits(m)
 		return roundNearestEven(h, mant, 13)
-	case e >= -24: // subnormal half range
+	case e >= -25: // subnormal half range, and [2^-25, 2^-24), which rounds to 0 or 2^-24
 		// Shift in the implicit leading 1, then denormalize.
 		full := mant | 0x800000
 		shift := uint32(13 + (-14 - e))
@@ -137,7 +137,7 @@ func FromFloat64(f float64) Bits {
 		m := mant >> 42 // 52 - 10 dropped bits
 		h := sign | Bits((e+expBias)<<mantBits) | Bits(m)
 		return roundNearestEven64(h, mant, 42)
-	case e >= -24:
+	case e >= -25:
 		full := mant | (1 << 52)
 		shift := uint64(42 + (-14 - e))
 		if shift > 63 {

@@ -153,6 +153,54 @@ func TestExhaustiveFloat32Float64Agree(t *testing.T) {
 	}
 }
 
+// TestExhaustiveMidpointOracle checks double->half and single->half
+// rounding against an oracle built from the half grid alone. For every
+// pair of consecutive finite halves a < b of either sign (the last pair
+// being 65504 and 65536, which is out of range and rounds to infinity),
+// one ULP below their exact midpoint must round to a, one ULP above to
+// b, and the midpoint itself to whichever has the even pattern.
+func TestExhaustiveMidpointOracle(t *testing.T) {
+	// value is the magnitude of half pattern i, read from its fields.
+	value := func(i int) float64 {
+		exp, mant := i>>10, i&0x3ff
+		if exp == 0 {
+			return math.Ldexp(float64(mant), -24)
+		}
+		return math.Ldexp(float64(0x400|mant), exp-25)
+	}
+	for i := 0; i < int(PositiveInfinity); i++ {
+		lo, hi := Bits(i), Bits(i+1)
+		tie := lo
+		if hi&1 == 0 {
+			tie = hi
+		}
+		mid := (value(i) + value(i+1)) / 2 // exact: at most 12 significant bits
+		mid32 := float32(mid)
+		for _, sign := range []Bits{0, signMask} {
+			s := 1.0
+			if sign != 0 {
+				s = -1
+			}
+			for _, c := range []struct {
+				f64  float64
+				f32  float32
+				want Bits
+			}{
+				{math.Nextafter(mid, 0), math.Nextafter32(mid32, 0), lo},
+				{mid, mid32, tie},
+				{math.Nextafter(mid, math.Inf(1)), math.Nextafter32(mid32, float32(math.Inf(1))), hi},
+			} {
+				if got := FromFloat64(s * c.f64); got != sign|c.want {
+					t.Fatalf("FromFloat64(%g) = %#04x, want %#04x", s*c.f64, uint16(got), uint16(sign|c.want))
+				}
+				if got := FromFloat32(float32(s) * c.f32); got != sign|c.want {
+					t.Fatalf("FromFloat32(%g) = %#04x, want %#04x", float32(s)*c.f32, uint16(got), uint16(sign|c.want))
+				}
+			}
+		}
+	}
+}
+
 func TestFromFloat32MatchesFromFloat64(t *testing.T) {
 	// For every float32 that is exactly representable from a half-ULP grid,
 	// the two conversion paths must agree. Sample a broad grid.

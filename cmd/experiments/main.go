@@ -98,7 +98,6 @@ func main() {
 	fig9JSON := flag.String("fig9-json", filepath.Join("results", "bench_fig9.json"), "path of the machine-readable fig9 report (written when fig9 runs)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "number of parallel measurement workers (results are byte-identical for any value)")
 	goldenTrials := flag.String("golden-trials", "", "golden fig9 JSON to compare per-benchmark trial counts against; exit 1 on drift")
-	evalcache := flag.Bool("evalcache", true, "incremental trial evaluation: reuse op results across trials within each measurement (results are byte-identical either way; disable to debug)")
 	cacheStats := flag.String("cache-stats", "", "write wall time and evalcache counters as JSON to this file when done")
 	faults := flag.String("faults", "", `inject deterministic runtime faults, e.g. "write:0.01,launch:0.005,alloc:0.002,devlost:1e-4,nan:0.001" (empty disables injection)`)
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for the fault-injection decision stream (same spec+seed reproduces the same faults at any -j)")
@@ -134,10 +133,15 @@ func main() {
 		}
 		suite = filtered
 	}
+	// -retries also bounds task-level re-execution, which shifts the
+	// fault salt by attempt<<16; it takes the search options' check.
+	if _, err := (scaler.Options{Retries: *retries}).Normalize(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 	r := exper.NewRunner(suite)
 	r.Ctx = ctx
 	r.Jobs = *jobs
-	r.EvalCache = *evalcache
 	r.Retries = *retries
 	if !*quiet {
 		r.Log = os.Stderr
@@ -281,6 +285,7 @@ func main() {
 			o := obs.New()
 			sOpts := opts
 			sOpts.Obs = o
+			sOpts.EvalCache = prog.NewEvalCache()
 			if _, err := fw.Scale(ctx, w, sOpts); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: trace %s: %v\n", w.Name, err)
 				os.Exit(1)
@@ -330,7 +335,7 @@ func main() {
 	// Wall time and incremental-evaluation counters. These live in their
 	// own report, never in the experiment tables or obs metrics: the
 	// hit/miss split depends on worker scheduling, and the artifacts must
-	// stay byte-identical across -j and -evalcache settings.
+	// stay byte-identical across -j settings and with the cache on or off.
 	st := r.EvalStats()
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "evalcache: %d hits, %d misses (%d ops skipped); wall %.2fs\n",

@@ -54,7 +54,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the decision-maker explain report")
 	jsonPath := flag.String("json", "", `write the decision as prescaler/v1 JSON to this file ("-" for stdout); byte-identical to the prescalerd POST /v1/scale response body`)
 	jobs := flag.Int("j", 0, "number of concurrent search-trial workers; 0 selects GOMAXPROCS (the search outcome and all artifacts are bit-identical for any value)")
-	evalcache := flag.Bool("evalcache", true, "incremental trial evaluation: reuse op results across search trials (results are byte-identical either way; disable to debug)")
 	faults := flag.String("faults", "", `inject deterministic runtime faults, e.g. "write:0.01,launch:0.005,alloc:0.002,devlost:1e-4,nan:0.001" (empty disables injection)`)
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for the fault-injection decision stream (same spec+seed reproduces the same faults at any -j)")
 	retries := flag.Int("retries", 2, "bounded retries per search trial after an injected fault (inert without -faults)")
@@ -135,16 +134,15 @@ func main() {
 		o = obs.New()
 	}
 
-	// Every defaultable knob (TOQ, workers, backoff, eval cache) is
-	// filled by Normalize — the same path the daemon uses — so the two
-	// entry points cannot drift.
+	// Every defaultable knob (TOQ, workers, eval cache) is filled, and
+	// retries bounded, by Normalize — the same path the daemon uses — so
+	// the two entry points cannot drift.
 	opts, err := scaler.Options{
-		TOQ:              *toq,
-		InputSet:         set,
-		Obs:              o,
-		Workers:          *jobs,
-		DisableEvalCache: !*evalcache,
-		Retries:          *retries,
+		TOQ:      *toq,
+		InputSet: set,
+		Obs:      o,
+		Workers:  *jobs,
+		Retries:  *retries,
 	}.Normalize()
 	if err != nil {
 		fatalf("%v", err)
@@ -161,10 +159,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if opts.EvalCache != nil {
-		st := opts.EvalCache.Stats()
-		fmt.Fprintf(os.Stderr, "evalcache: %d hits, %d misses (%d ops skipped)\n", st.Hits, st.Misses, st.OpsSkipped)
-	}
+	st := opts.EvalCache.Stats()
+	fmt.Fprintf(os.Stderr, "evalcache: %d hits, %d misses (%d ops skipped)\n", st.Hits, st.Misses, st.OpsSkipped)
 
 	fmt.Print(sp.Describe())
 	res := sp.Search

@@ -75,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -107,7 +106,6 @@ func main() {
 		Workers:     *workers,
 		CacheSize:   *cacheSize,
 		MaxQueue:    *maxQueue,
-		Obs:         obs.New(),
 		Logger:      logger,
 		PersistDir:  *persistDir,
 		SessionTTL:  *sessionTTL,

@@ -95,14 +95,9 @@ type Outcome struct {
 }
 
 // Baseline runs the unscaled program and reports it as an outcome with
-// speedup 1. An optional observer traces the run.
-func Baseline(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, os ...*obs.Observer) (*Outcome, error) {
-	return BaselineCached(ctx, sys, w, set, nil, os...)
-}
-
-// BaselineCached is Baseline with an optional shared
-// incremental-evaluation cache.
-func BaselineCached(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, cache *prog.EvalCache, os ...*obs.Observer) (*Outcome, error) {
+// speedup 1. An optional shared incremental-evaluation cache (nil for
+// plain execution) serves the run, and an optional observer traces it.
+func Baseline(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, cache *prog.EvalCache, os ...*obs.Observer) (*Outcome, error) {
 	res, err := tracedRun(ctx, observer(os), "baseline", sys, w, set, nil, cache)
 	if err != nil {
 		return nil, err
@@ -143,15 +138,11 @@ const InKernelExhaustiveLimit = 30
 // (Precimonious-style) and returns the fastest TOQ-passing
 // configuration. The search is exhaustive up to
 // InKernelExhaustiveLimit assignments, greedy beyond that. An optional
-// observer traces every trial.
-func InKernel(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, toq float64, os ...*obs.Observer) (*Outcome, error) {
-	return InKernelCached(ctx, sys, w, set, toq, nil, os...)
-}
-
-// InKernelCached is InKernel with an optional shared
-// incremental-evaluation cache. In-kernel trials leave every transfer op
-// untouched, so all of them hit the cached baseline transfers.
-func InKernelCached(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, toq float64, cache *prog.EvalCache, os ...*obs.Observer) (*Outcome, error) {
+// shared incremental-evaluation cache (nil for plain execution) serves
+// the trials: they leave every transfer op untouched, so all of them hit
+// the cached baseline transfers. An optional observer traces every
+// trial.
+func InKernel(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, toq float64, cache *prog.EvalCache, os ...*obs.Observer) (*Outcome, error) {
 	o := observer(os)
 	ref, err := tracedRun(ctx, o, "in-kernel", sys, w, set, nil, cache)
 	if err != nil {
@@ -285,20 +276,16 @@ func pfpPlan(sys *hw.System, ev profile.TransferEvent, orig, target precision.Ty
 }
 
 // PFP searches the uniform program-level full-precision configurations
-// and returns the fastest TOQ-passing one. An optional observer traces
-// every trial.
-func PFP(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, toq float64, os ...*obs.Observer) (*Outcome, error) {
-	return PFPCached(ctx, sys, w, set, toq, nil, os...)
-}
-
-// PFPCached is PFP with an optional shared incremental-evaluation cache.
-func PFPCached(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, toq float64, cache *prog.EvalCache, os ...*obs.Observer) (*Outcome, error) {
+// and returns the fastest TOQ-passing one. An optional shared
+// incremental-evaluation cache (nil for plain execution) serves the
+// trials, and an optional observer traces every one.
+func PFP(ctx context.Context, sys *hw.System, w *prog.Workload, set prog.InputSet, toq float64, cache *prog.EvalCache, os ...*obs.Observer) (*Outcome, error) {
 	o := observer(os)
 	if err := ctxErr(ctx, "pfp"); err != nil {
 		return nil, err
 	}
 	sp := o.Tracer().Start("trial pfp profile", "trial")
-	info, ref, err := profile.ProfileCached(sys, w, set, cache, o.RunHook())
+	info, ref, err := profile.Profile(sys, w, set, cache, o.RunHook())
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestBaselineOutcome(t *testing.T) {
 	w := wltest.VecCombine(4096)
-	out, err := Baseline(context.Background(), hw.System1(), w, prog.InputDefault)
+	out, err := Baseline(context.Background(), hw.System1(), w, prog.InputDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestInKernelExhaustive(t *testing.T) {
 	// limit, and all are executed (the all-double one is the reference).
 	w := wltest.HalfHostile(4096)
 	sys := hw.System2()
-	out, err := InKernel(context.Background(), sys, w, prog.InputDefault, 0.90)
+	out, err := InKernel(context.Background(), sys, w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestInKernelCannotHelpTransfers(t *testing.T) {
 	// transfer time is untouched.
 	w := wltest.VecCombine(1 << 18)
 	sys := hw.System1()
-	out, err := InKernel(context.Background(), sys, w, prog.InputDefault, 0.90)
+	out, err := InKernel(context.Background(), sys, w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestInKernelCannotHelpTransfers(t *testing.T) {
 
 func TestInKernelRespectsTOQ(t *testing.T) {
 	w := wltest.HalfHostile(4096)
-	out, err := InKernel(context.Background(), hw.System2(), w, prog.InputDefault, 0.90)
+	out, err := InKernel(context.Background(), hw.System2(), w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestInKernelRespectsTOQ(t *testing.T) {
 func TestPFPUniform(t *testing.T) {
 	w := wltest.VecCombine(1 << 16)
 	sys := hw.System2()
-	out, err := PFP(context.Background(), sys, w, prog.InputDefault, 0.90)
+	out, err := PFP(context.Background(), sys, w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPFPUniform(t *testing.T) {
 
 func TestPFPRespectsTOQ(t *testing.T) {
 	w := wltest.HalfHostile(1 << 14)
-	out, err := PFP(context.Background(), hw.System1(), w, prog.InputDefault, 0.90)
+	out, err := PFP(context.Background(), hw.System1(), w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPFPRespectsTOQ(t *testing.T) {
 func TestPFPStrictTOQKeepsBaseline(t *testing.T) {
 	// With TOQ = 1.0 nothing lossy passes; PFP must return the baseline.
 	w := wltest.VecCombine(4096)
-	out, err := PFP(context.Background(), hw.System1(), w, prog.InputDefault, 1.0)
+	out, err := PFP(context.Background(), hw.System1(), w, prog.InputDefault, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

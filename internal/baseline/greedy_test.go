@@ -13,7 +13,7 @@ func TestInKernelGreedyFallback(t *testing.T) {
 	// 3MM has 7 objects: 3^7 = 2187 > InKernelExhaustiveLimit, so the
 	// greedy descent runs: 1 reference + 7 objects x 2 lower types = 15.
 	w := polybench.ThreeMM(12)
-	out, err := InKernel(context.Background(), hw.System2(), w, prog.InputDefault, 0.90)
+	out, err := InKernel(context.Background(), hw.System2(), w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestInKernelGreedyMonotoneImprovement(t *testing.T) {
 	// The greedy descent never keeps a config slower than baseline, so
 	// Final.Total <= BaselineTime always.
 	w := polybench.Mvt(96) // 5 objects: 243 > limit -> greedy
-	out, err := InKernel(context.Background(), hw.System1(), w, prog.InputDefault, 0.90)
+	out, err := InKernel(context.Background(), hw.System1(), w, prog.InputDefault, 0.90, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,19 +160,19 @@ func (f *Framework) Compare(ctx context.Context, w *prog.Workload, opts scaler.O
 	cache := opts.EvalCache
 	tr := opts.Obs.Tracer()
 	sp := tr.Start("baseline "+w.Name, "pipeline")
-	base, err := baseline.BaselineCached(ctx, f.sys, w, opts.InputSet, cache, opts.Obs)
+	base, err := baseline.Baseline(ctx, f.sys, w, opts.InputSet, cache, opts.Obs)
 	tr.End(sp)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline %s: %w", w.Name, err)
 	}
 	sp = tr.Start("in-kernel "+w.Name, "pipeline")
-	ik, err := baseline.InKernelCached(ctx, f.sys, w, opts.InputSet, opts.TOQ, cache, opts.Obs)
+	ik, err := baseline.InKernel(ctx, f.sys, w, opts.InputSet, opts.TOQ, cache, opts.Obs)
 	tr.End(sp)
 	if err != nil {
 		return nil, fmt.Errorf("core: in-kernel %s: %w", w.Name, err)
 	}
 	sp = tr.Start("pfp "+w.Name, "pipeline")
-	pfp, err := baseline.PFPCached(ctx, f.sys, w, opts.InputSet, opts.TOQ, cache, opts.Obs)
+	pfp, err := baseline.PFP(ctx, f.sys, w, opts.InputSet, opts.TOQ, cache, opts.Obs)
 	tr.End(sp)
 	if err != nil {
 		return nil, fmt.Errorf("core: pfp %s: %w", w.Name, err)

@@ -17,9 +17,9 @@ func TestEvalCacheArtifactsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full artifact sweep; run without -short")
 	}
-	plain := runArtifacts(t, 1, false)
+	plain := runArtifacts(t, 1, true)
 	for _, jobs := range []int{1, 8} {
-		cached := runArtifacts(t, jobs, true)
+		cached := runArtifacts(t, jobs, false)
 		for _, c := range []struct {
 			name         string
 			plain, cache []byte
@@ -47,7 +47,6 @@ func TestRunnerEvalStats(t *testing.T) {
 	opts := scaler.DefaultOptions()
 
 	r := smallRunner()
-	r.EvalCache = true
 	if _, err := r.Fig9(sys, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +59,7 @@ func TestRunnerEvalStats(t *testing.T) {
 	}
 
 	off := smallRunner()
+	off.noEvalCache = true
 	if _, err := off.Fig9(sys, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -102,13 +102,14 @@ type Runner struct {
 	// not content) varies with Jobs.
 	Log   io.Writer
 	logMu sync.Mutex
-	// EvalCache enables incremental trial evaluation: each measurement
-	// task gets a fresh prog.EvalCache shared by its trials (a cache
-	// binds one system/workload pair, so it cannot outlive the task).
-	// Results are byte-identical either way; only wall time changes.
-	EvalCache bool
-	evalStats prog.EvalStats
-	statsMu   sync.Mutex
+	// Each measurement task gets a fresh prog.EvalCache shared by its
+	// trials (a cache binds one system/workload pair, so it cannot
+	// outlive the task). noEvalCache, set only by this package's tests,
+	// runs every task without one: the reference the cached artifacts
+	// must match byte for byte.
+	noEvalCache bool
+	evalStats   prog.EvalStats
+	statsMu     sync.Mutex
 	// Faults, when non-nil, injects deterministic runtime faults into
 	// every measurement task: each task's system model is cloned with the
 	// spec attached before its framework is built. Nil (the default)
@@ -169,10 +170,10 @@ func (r *Runner) logf(format string, args ...any) {
 	fmt.Fprintf(r.Log, format+"\n", args...)
 }
 
-// cacheFor returns a fresh per-task evaluation cache, or nil when
-// incremental evaluation is disabled.
+// cacheFor returns a fresh per-task evaluation cache, or nil for the
+// cache-off reference runs.
 func (r *Runner) cacheFor() *prog.EvalCache {
-	if !r.EvalCache {
+	if r.noEvalCache {
 		return nil
 	}
 	return prog.NewEvalCache()
@@ -191,8 +192,7 @@ func (r *Runner) addStats(cache *prog.EvalCache) {
 }
 
 // EvalStats returns the accumulated incremental-evaluation counters
-// across every measurement task run so far (all zero when EvalCache is
-// off).
+// across every measurement task run so far.
 func (r *Runner) EvalStats() prog.EvalStats {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()

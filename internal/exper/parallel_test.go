@@ -14,13 +14,14 @@ type artifactSet struct {
 	bench                                           []byte
 }
 
-// runArtifacts renders the figures at the given worker count; each call
-// uses a fresh runner so nothing is served from a previous run's cache.
-func runArtifacts(t *testing.T, jobs int, evalcache bool) artifactSet {
+// runArtifacts renders the figures at the given worker count, without
+// an EvalCache when plain is set; each call uses a fresh runner so
+// nothing is served from a previous run's cache.
+func runArtifacts(t *testing.T, jobs int, plain bool) artifactSet {
 	t.Helper()
 	r := smallRunner()
 	r.Jobs = jobs
-	r.EvalCache = evalcache
+	r.noEvalCache = plain
 	sys := hw.System1()
 	opts := scaler.DefaultOptions()
 
@@ -59,8 +60,8 @@ func runArtifacts(t *testing.T, jobs int, evalcache bool) artifactSet {
 // for the experiment worker pool: every CSV and JSON artifact produced
 // at Jobs=8 must be byte-identical to the sequential Jobs=1 run.
 func TestParallelRunnerByteIdentical(t *testing.T) {
-	seq := runArtifacts(t, 1, false)
-	par := runArtifacts(t, 8, false)
+	seq := runArtifacts(t, 1, true)
+	par := runArtifacts(t, 8, true)
 	for _, c := range []struct {
 		name     string
 		seq, par []byte

@@ -13,11 +13,12 @@ import (
 
 // fig9Artifacts renders what `experiments -exp fig9 -quick -j 2` writes
 // for suite: the fig9 CSV of every system, and the fig9 JSON report.
-func fig9Artifacts(t *testing.T, suite []*prog.Workload) (csv, report []byte) {
+// plain runs every task without an EvalCache.
+func fig9Artifacts(t *testing.T, suite []*prog.Workload, plain bool) (csv, report []byte) {
 	t.Helper()
 	r := NewRunner(suite)
 	r.Jobs = 2
-	r.EvalCache = true
+	r.noEvalCache = plain
 	opts, err := scaler.DefaultOptions().Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -50,16 +51,31 @@ func fig9Artifacts(t *testing.T, suite []*prog.Workload) (csv, report []byte) {
 // systems must be byte-identical when every kernel runs on its Reference
 // tree walker instead.
 func TestFig9ReferenceIdentical(t *testing.T) {
-	csvB, repB := fig9Artifacts(t, polybench.SmallSuite())
+	csvB, repB := fig9Artifacts(t, polybench.SmallSuite(), false)
 	var ref []*prog.Workload
 	for _, w := range polybench.SmallSuite() {
 		ref = append(ref, wltest.OnReference(w))
 	}
-	csvT, repT := fig9Artifacts(t, ref)
+	csvT, repT := fig9Artifacts(t, ref, false)
 	if !bytes.Equal(csvB, csvT) {
 		t.Errorf("fig9 CSV differs:\n--- batch ---\n%s\n--- reference ---\n%s", csvB, csvT)
 	}
 	if !bytes.Equal(repB, repT) {
 		t.Errorf("fig9 JSON report differs:\n--- batch ---\n%s\n--- reference ---\n%s", repB, repT)
+	}
+}
+
+// TestFig9EvalCacheIdentical is the experiment-level differential of
+// incremental trial evaluation: the reduced-suite fig9 artifacts of all
+// three systems must be byte-identical when every task runs without an
+// EvalCache.
+func TestFig9EvalCacheIdentical(t *testing.T) {
+	csvC, repC := fig9Artifacts(t, polybench.SmallSuite(), false)
+	csvP, repP := fig9Artifacts(t, polybench.SmallSuite(), true)
+	if !bytes.Equal(csvC, csvP) {
+		t.Errorf("fig9 CSV differs:\n--- cached ---\n%s\n--- plain ---\n%s", csvC, csvP)
+	}
+	if !bytes.Equal(repC, repP) {
+		t.Errorf("fig9 JSON report differs:\n--- cached ---\n%s\n--- plain ---\n%s", repC, repP)
 	}
 }

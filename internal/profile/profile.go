@@ -100,16 +100,11 @@ func (a *AppInfo) TransferFraction() float64 {
 
 // Profile runs w once at original precision on sys with the given input
 // set and returns the application info along with the baseline result.
-// Optional runtime hooks are attached to the profiling execution (nil
-// hooks are skipped).
-func Profile(sys *hw.System, w *prog.Workload, set prog.InputSet, hooks ...ocl.Hook) (*AppInfo, *prog.Result, error) {
-	return ProfileCached(sys, w, set, nil, hooks...)
-}
-
-// ProfileCached is Profile with an optional shared incremental-evaluation
-// cache: the baseline run both seeds and benefits from op results shared
-// with the search trials. A nil cache means plain execution.
-func ProfileCached(sys *hw.System, w *prog.Workload, set prog.InputSet, cache *prog.EvalCache, hooks ...ocl.Hook) (*AppInfo, *prog.Result, error) {
+// An optional shared incremental-evaluation cache lets the baseline run
+// both seed and benefit from op results shared with the search trials;
+// a nil cache means plain execution. Optional runtime hooks are attached
+// to the profiling execution (nil hooks are skipped).
+func Profile(sys *hw.System, w *prog.Workload, set prog.InputSet, cache *prog.EvalCache, hooks ...ocl.Hook) (*AppInfo, *prog.Result, error) {
 	res, err := prog.RunWithCache(sys, w, set, nil, cache, hooks...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("profile: %w", err)

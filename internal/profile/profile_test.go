@@ -63,7 +63,7 @@ func profWorkload(n, m int) *prog.Workload {
 
 func TestProfileBasics(t *testing.T) {
 	w := profWorkload(4096, 64)
-	info, res, err := Profile(hw.System1(), w, prog.InputDefault)
+	info, res, err := Profile(hw.System1(), w, prog.InputDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestObjectEffectiveTimeOrdering(t *testing.T) {
 	// a is large and bound to both kernels; b is tiny. a must sort first,
 	// and b must come last.
 	w := profWorkload(65536, 16)
-	info, _, err := Profile(hw.System1(), w, prog.InputDefault)
+	info, _, err := Profile(hw.System1(), w, prog.InputDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestObjectEffectiveTimeOrdering(t *testing.T) {
 
 func TestObjectTransfers(t *testing.T) {
 	w := profWorkload(4096, 64)
-	info, _, err := Profile(hw.System1(), w, prog.InputDefault)
+	info, _, err := Profile(hw.System1(), w, prog.InputDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestObjectTransfers(t *testing.T) {
 
 func TestEffectiveTimeDecomposition(t *testing.T) {
 	w := profWorkload(4096, 64)
-	info, _, err := Profile(hw.System1(), w, prog.InputDefault)
+	info, _, err := Profile(hw.System1(), w, prog.InputDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEffectiveTimeDecomposition(t *testing.T) {
 
 func TestTransferFraction(t *testing.T) {
 	w := profWorkload(1<<18, 16)
-	info, _, err := Profile(hw.System1(), w, prog.InputDefault)
+	info, _, err := Profile(hw.System1(), w, prog.InputDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,11 @@ var ErrBadOptions = errors.New("scaler: invalid options")
 //     error.
 //   - InputSet: must be one of the three paper distributions.
 //   - Workers: 0 selects GOMAXPROCS; negative is an error.
-//   - Retries: zero is meaningful (no retries), so it is only validated;
-//     DefaultOptions carries the paper-evaluation default of 2.
-//   - RetryBackoff: 0 selects the 1ms default; negative is an error.
-//   - EvalCache: a fresh cache is allocated when none was supplied and
-//     DisableEvalCache is false, so incremental trial evaluation is on
-//     by default.
+//   - Retries: zero is meaningful (no retries), so it is only validated:
+//     negative or above maxRetries is an error. DefaultOptions carries
+//     the paper-evaluation default of 2.
+//   - EvalCache: a fresh cache is allocated when none was supplied, so
+//     incremental trial evaluation is always on.
 //
 // Normalize never mutates the receiver; the returned Options is a
 // completed copy. All defaults preserve the search outcome: Workers and
@@ -56,16 +55,10 @@ func (o Options) Normalize() (Options, error) {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Retries < 0 {
-		return o, fmt.Errorf("%w: negative Retries %d", ErrBadOptions, o.Retries)
+	if o.Retries < 0 || o.Retries > maxRetries {
+		return o, fmt.Errorf("%w: Retries %d outside [0, %d]", ErrBadOptions, o.Retries, maxRetries)
 	}
-	if math.IsNaN(o.RetryBackoff) || o.RetryBackoff < 0 {
-		return o, fmt.Errorf("%w: negative RetryBackoff %v", ErrBadOptions, o.RetryBackoff)
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = defaultRetryBackoff
-	}
-	if o.EvalCache == nil && !o.DisableEvalCache {
+	if o.EvalCache == nil {
 		o.EvalCache = prog.NewEvalCache()
 	}
 	return o, nil

@@ -20,9 +20,6 @@ func TestNormalizeDefaults(t *testing.T) {
 	if o.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers = %d, want GOMAXPROCS %d", o.Workers, runtime.GOMAXPROCS(0))
 	}
-	if o.RetryBackoff != defaultRetryBackoff {
-		t.Errorf("RetryBackoff = %v, want %v", o.RetryBackoff, defaultRetryBackoff)
-	}
 	if o.EvalCache == nil {
 		t.Error("EvalCache not allocated by default")
 	}
@@ -33,26 +30,16 @@ func TestNormalizeDefaults(t *testing.T) {
 
 func TestNormalizePreservesExplicitValues(t *testing.T) {
 	cache := prog.NewEvalCache()
-	in := Options{TOQ: 0.5, InputSet: prog.InputRandom, Workers: 3, Retries: 7, RetryBackoff: 2e-3, EvalCache: cache}
+	in := Options{TOQ: 0.5, InputSet: prog.InputRandom, Workers: 3, Retries: 7, EvalCache: cache}
 	o, err := in.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.TOQ != 0.5 || o.InputSet != prog.InputRandom || o.Workers != 3 || o.Retries != 7 || o.RetryBackoff != 2e-3 {
+	if o.TOQ != 0.5 || o.InputSet != prog.InputRandom || o.Workers != 3 || o.Retries != 7 {
 		t.Errorf("explicit values changed: %+v", o)
 	}
 	if o.EvalCache != cache {
 		t.Error("supplied EvalCache replaced")
-	}
-}
-
-func TestNormalizeDisableEvalCache(t *testing.T) {
-	o, err := Options{DisableEvalCache: true}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.EvalCache != nil {
-		t.Error("EvalCache allocated despite DisableEvalCache")
 	}
 }
 
@@ -64,8 +51,7 @@ func TestNormalizeRejects(t *testing.T) {
 		"bad input set":    {InputSet: prog.InputSet(99)},
 		"negative workers": {Workers: -1},
 		"negative retries": {Retries: -2},
-		"negative backoff": {RetryBackoff: -1e-3},
-		"NaN backoff":      {RetryBackoff: math.NaN()},
+		"retries too many": {Retries: maxRetries + 1},
 	}
 	for name, o := range cases {
 		if _, err := o.Normalize(); !errors.Is(err, ErrBadOptions) {

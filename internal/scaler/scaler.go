@@ -87,11 +87,9 @@ type Options struct {
 	// fault injection off the runtime never fails transiently, so the
 	// value is inert. A candidate that exhausts its retries (or hits a
 	// non-transient fault) is treated exactly like a TOQ failure: the
-	// search degrades around it instead of aborting.
+	// search degrades around it instead of aborting. Normalize rejects
+	// values above maxRetries.
 	Retries int
-	// RetryBackoff is the simulated backoff in seconds before the first
-	// retry; successive retries double it. Zero selects the 1ms default.
-	RetryBackoff float64
 	// EvalCache, when non-nil, shares op-level results across every trial
 	// of the search (and across speculative workers): program ops whose
 	// inputs match a previously recorded execution are spliced from the
@@ -101,12 +99,9 @@ type Options struct {
 	// artifacts are byte-identical with or without a cache (see
 	// DESIGN.md, "Incremental trial evaluation"); only wall-clock time
 	// changes. The cache binds to one (system, workload) pair on first
-	// use — pass a fresh prog.NewEvalCache() per search.
+	// use — pass a fresh prog.NewEvalCache() per search, or leave it nil
+	// and let Normalize allocate one.
 	EvalCache *prog.EvalCache
-	// DisableEvalCache stops Normalize from allocating an EvalCache when
-	// none was supplied. It never disables an explicitly set EvalCache
-	// and has no effect outside Normalize.
-	DisableEvalCache bool
 	// Seed, when non-nil, warm-starts the search from a previous
 	// decision on the same workload: the pre-full-precision pass and the
 	// full per-object descent are replaced by a single seed trial plus a
@@ -131,9 +126,14 @@ func DefaultOptions() Options {
 	return Options{TOQ: 0.90, InputSet: prog.InputDefault, Retries: 2}
 }
 
-// defaultRetryBackoff is the simulated pre-retry delay when Options
-// leaves RetryBackoff zero.
-const defaultRetryBackoff = 1e-3
+// retryBackoff is the simulated delay in seconds before a trial's first
+// retry; successive retries double it.
+const retryBackoff = 1e-3
+
+// maxRetries bounds Options.Retries. Every attempt of a trial that keeps
+// failing holds the caller's worker, and the doubled backoff overflows
+// its shift past 63 attempts, so a request for more is rejected.
+const maxRetries = 16
 
 // ErrProfiling marks a search that failed during application profiling.
 // Profiling failure is fatal — without a profile and quality reference
@@ -587,10 +587,6 @@ func (s *Scaler) retryFaults(label string, fn func() error) error {
 	o := s.opts.Obs
 	baseSalt := s.sys.FaultSalt
 	defer func() { s.sys.FaultSalt = baseSalt }()
-	backoff := s.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
 	for attempt := 0; ; attempt++ {
 		if err := s.checkCtx(); err != nil {
 			return err
@@ -613,7 +609,7 @@ func (s *Scaler) retryFaults(label string, fn func() error) error {
 			}
 			return &TrialError{Label: label, Attempts: attempt + 1, Err: err}
 		}
-		d := backoff * float64(uint64(1)<<uint(attempt))
+		d := retryBackoff * float64(uint64(1)<<uint(attempt))
 		if tr := o.Tracer(); tr != nil {
 			tr.Emit("retry "+label, "fault", obs.RowPipeline, tr.Now(), d,
 				obs.A("attempt", attempt+1), obs.A("error", err.Error()))
@@ -748,7 +744,7 @@ func (s *Scaler) Search(ctx context.Context) (*Result, error) {
 		ref  *prog.Result
 	)
 	err := s.retryFaults("profile", func() error {
-		i, r, e := profile.ProfileCached(s.sys, s.w, s.opts.InputSet, s.opts.EvalCache, o.RunHook())
+		i, r, e := profile.Profile(s.sys, s.w, s.opts.InputSet, s.opts.EvalCache, o.RunHook())
 		if e != nil {
 			return e
 		}

@@ -30,18 +30,18 @@ const (
 	headerClusterRoute = "X-Cluster-Route"
 )
 
-// defaultProxyTimeout is the outer safety bound on one proxied attempt
-// at the HTTP-client level. The effective bound is the much shorter
+// proxyTimeout is the outer safety bound on one proxied attempt at the
+// HTTP-client level. The effective bound is the much shorter
 // per-attempt context timeout below; this only catches pathological
 // response-body stalls past the headers.
-const defaultProxyTimeout = 2 * time.Minute
+const proxyTimeout = 2 * time.Minute
 
-// defaultProxyAttemptTimeout bounds one proxy attempt end to end. A
-// dead peer fails at connect within milliseconds; this bound is for the
-// worse case of a hung peer, and is short enough that walking the whole
+// proxyAttemptTimeout bounds one proxy attempt end to end. A dead peer
+// fails at connect within milliseconds; this bound is for the worse
+// case of a hung peer, and is short enough that walking the whole
 // replica list and falling back to local compute still beats the old
 // flat 2-minute wait by an order of magnitude.
-const defaultProxyAttemptTimeout = 15 * time.Second
+const proxyAttemptTimeout = 15 * time.Second
 
 // routeLabel names the replica slot that answered.
 func routeLabel(i int) string {
@@ -116,7 +116,7 @@ const (
 // nothing about the replica.
 func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, owner string, slot int) (proxyOutcome, dialResult) {
 	m := s.obs.Metrics()
-	ctx, cancel := context.WithTimeout(r.Context(), s.proxyAttemptTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), proxyAttemptTimeout)
 	defer cancel()
 	preq, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+owner+"/v1/scale", strings.NewReader(body))

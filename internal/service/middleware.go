@@ -109,8 +109,8 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 //     healthz quantiles.
 //
 // None of it touches response bodies: decision bodies stay
-// byte-identical with the middleware on or off (the telemetry
-// on/off identity test pins this).
+// byte-identical to the CLI's encoding (TestTelemetryByteIdentity pins
+// this).
 func (s *Server) telemetry(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

@@ -37,8 +37,7 @@
 // function of (inspector DB, workload, options) — request ids travel in
 // the X-Request-Id header and structured logs, cache status in X-Cache,
 // progress over SSE, latency in /metrics — so the bodies stay
-// byte-identical with telemetry on or off, and identical to
-// cmd/prescaler -json output.
+// byte-identical to cmd/prescaler -json output.
 //
 // Requests run on a bounded worker pool behind an admission
 // controller: a bounded per-client fair queue (round-robin dispatch, so
@@ -120,15 +119,6 @@ type Config struct {
 	// fail over through the replica list when the primary is down.
 	// Ignored outside a cluster.
 	Replication int
-	// ProxyClient issues proxied scale requests to peer nodes; nil
-	// selects a default client. Each proxy attempt additionally runs
-	// under ProxyAttemptTimeout.
-	ProxyClient *http.Client
-	// ProxyAttemptTimeout bounds one proxied attempt to one replica; 0
-	// selects 15s. Failing attempts walk the replica list, so this is
-	// the worst-case cost of a hung (not dead — dead fails at connect)
-	// peer per request.
-	ProxyAttemptTimeout time.Duration
 	// ProbeInterval paces the active peer health probes in a cluster; 0
 	// selects 2s. Probe verdicts feed the liveness overlay of the
 	// membership view (dead peers leave the effective ring within
@@ -141,9 +131,6 @@ type Config struct {
 	// at startup, so a restarted node serves its hot set as cache hits
 	// instead of re-searching.
 	PersistDir string
-	// PersistMaxWAL is the WAL size (bytes) beyond which the journal is
-	// compacted into a snapshot; 0 selects 8 MiB.
-	PersistMaxWAL int64
 	// CacheSize is the decision LRU capacity in entries; 0 selects 128.
 	CacheSize int
 	// Obs receives the service metrics (request counters, cache
@@ -156,13 +143,6 @@ type Config struct {
 	// Logger receives structured request logs (one line per request) and
 	// panic reports. Nil disables logging; everything else still works.
 	Logger *slog.Logger
-	// DisableTelemetry turns off the per-request side channels: the
-	// middleware stack (request ids, access logs, panic recovery,
-	// latency histogram), wall-clock traces, and SSE progress events.
-	// The endpoints stay mounted but have nothing to serve. Exists so
-	// tests can pin that decision bodies are byte-identical with
-	// telemetry on or off.
-	DisableTelemetry bool
 	// SessionTTL is the idle expiry for sessions (POST /v1/sessions):
 	// a session untouched for this long is reclaimed lazily. Individual
 	// sessions may shorten it via ttl_seconds. 0 selects 1h.
@@ -178,29 +158,26 @@ const defaultCacheSize = 128
 // Server is the decision service. Create with New, serve via Handler.
 type Server struct {
 	obs      *obs.Observer
-	mux      *http.ServeMux
-	handler  http.Handler // mux wrapped in the telemetry middleware
+	handler  http.Handler // route table wrapped in the telemetry middleware
 	admit    *fairQueue
 	workload func(name string) *prog.Workload
 
 	logger        *slog.Logger
-	telemetryOff  bool
 	start         time.Time
 	hub           *eventHub
 	latency       *obs.Histogram // http_request_seconds, fed by middleware
 	queueWait     *obs.Histogram // service_queue_wait_seconds, slot waits
 	searchSeconds *obs.Histogram // service_search_seconds, drives deadline shedding
 
-	view                *cluster.View // nil outside a cluster
-	self                string        // this node's ring identity
-	replication         int           // ring owners per fingerprint
-	proxy               *http.Client  // issues proxied scale requests
-	proxyAttemptTimeout time.Duration
-	warmClient          *http.Client           // pushes decisions to replicas
-	peers               map[string]*peerHealth // every seed member but self
-	stopProbes          func()                 // joins the probe loops; nil outside a cluster
-	epochGauge          *obs.Gauge             // service_cluster_epoch
-	journal             *journal               // nil without PersistDir
+	view        *cluster.View          // nil outside a cluster
+	self        string                 // this node's ring identity
+	replication int                    // ring owners per fingerprint
+	proxy       *http.Client           // issues proxied scale requests
+	warmClient  *http.Client           // pushes decisions to replicas
+	peers       map[string]*peerHealth // every seed member but self
+	stopProbes  func()                 // joins the probe loops; nil outside a cluster
+	epochGauge  *obs.Gauge             // service_cluster_epoch
+	journal     *journal               // nil without PersistDir
 
 	mu     sync.Mutex
 	bases  map[string]*core.Framework // per system preset, inspected once
@@ -238,7 +215,8 @@ type Server struct {
 
 // entry is one cached decision: the canonical response body, the id it
 // is addressable under, and the wall-clock trace of the search that
-// produced it (nil for telemetry-off servers).
+// produced it (nil when the decision was replayed from the journal,
+// warmed by a peer, or computed for a session).
 type entry struct {
 	id    string
 	body  []byte
@@ -293,7 +271,6 @@ func New(cfg Config) (*Server, error) {
 		admit:         newFairQueue(opts.Workers, maxQueue, o.Metrics()),
 		workload:      wl,
 		logger:        cfg.Logger,
-		telemetryOff:  cfg.DisableTelemetry,
 		start:         time.Now(),
 		hub:           newEventHub(),
 		latency:       o.Metrics().Histogram("http_request_seconds", obs.DefaultLatencyBuckets),
@@ -327,14 +304,7 @@ func New(cfg Config) (*Server, error) {
 		if s.replication < 0 {
 			return nil, fmt.Errorf("service: negative Replication %d", cfg.Replication)
 		}
-		s.proxy = cfg.ProxyClient
-		if s.proxy == nil {
-			s.proxy = &http.Client{Timeout: defaultProxyTimeout}
-		}
-		s.proxyAttemptTimeout = cfg.ProxyAttemptTimeout
-		if s.proxyAttemptTimeout <= 0 {
-			s.proxyAttemptTimeout = defaultProxyAttemptTimeout
-		}
+		s.proxy = &http.Client{Timeout: proxyTimeout}
 		s.warmClient = &http.Client{Timeout: defaultWarmTimeout}
 		s.epochGauge = o.Metrics().Gauge("service_cluster_epoch")
 		s.epochGauge.Set(float64(view.Epoch()))
@@ -351,7 +321,7 @@ func New(cfg Config) (*Server, error) {
 		s.stopProbes = startProbes(s.peers, interval, httpProbe(interval))
 	}
 	if cfg.PersistDir != "" {
-		j, records, err := openJournal(cfg.PersistDir, cfg.PersistMaxWAL,
+		j, records, err := openJournal(cfg.PersistDir, defaultMaxWAL,
 			s.persistSnapshot, o.Metrics(), cfg.Logger)
 		if err != nil {
 			if s.stopProbes != nil {
@@ -381,17 +351,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.journal = j
 	}
-	s.mux = s.buildMux()
-	s.handler = s.mux
-	if !cfg.DisableTelemetry {
-		s.handler = s.telemetry(s.mux)
-	}
+	s.handler = s.telemetry(s.buildMux())
 	return s, nil
 }
 
 // Handler returns the HTTP handler serving the v1 API, wrapped in the
-// request-id / access-log / panic-recovery middleware unless
-// Config.DisableTelemetry.
+// request-id / access-log / panic-recovery middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Close releases the server's background machinery: the peer probes
@@ -503,12 +468,11 @@ func (e *notFoundError) Error() string { return fmt.Sprintf("unknown %s %q", e.w
 // scaleJob is a validated POST /v1/scale request, ready to fingerprint
 // and run.
 type scaleJob struct {
-	fw    *core.Framework
-	w     *prog.Workload
-	opts  scaler.Options
-	spec  *fault.Spec
-	id    string
-	cache *prog.EvalCache
+	fw   *core.Framework
+	w    *prog.Workload
+	opts scaler.Options
+	spec *fault.Spec
+	id   string
 }
 
 // prepare validates a wire request against the registries and option
@@ -544,19 +508,14 @@ func (s *Server) prepare(req *api.ScaleRequest) (*scaleJob, error) {
 		TOQ:      req.TOQ,
 		InputSet: set,
 		Retries:  retries,
-		// The shared cache is attached after fingerprinting; under fault
-		// injection it stays off (replayed op results would mask the
-		// injected faults the request asked for).
-		DisableEvalCache: true,
+		// prog.RunWithCache bypasses the cache under fault injection,
+		// where replayed op results would mask the injected faults.
+		EvalCache: s.evalCache(sysName, w.Name),
 	}.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	job := &scaleJob{fw: fw, w: w, opts: opts, spec: spec, id: fingerprint(fw, w, opts, spec)}
-	if spec == nil {
-		job.cache = s.evalCache(sysName, w.Name)
-	}
-	return job, nil
+	return &scaleJob{fw: fw, w: w, opts: opts, spec: spec, id: fingerprint(fw, w, opts, spec)}, nil
 }
 
 // fingerprint hashes everything that determines the decision: the
@@ -718,10 +677,7 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 	// completion wins — flightDone is first-outcome-takes-all.
 	defer s.flightDone(f, nil, nil, errFlightAbandoned)
 
-	var rt *reqTelemetry // nil-safe throughout when telemetry is off
-	if !s.telemetryOff {
-		rt = s.newReqTelemetry(RequestIDFrom(ctx), job)
-	}
+	rt := s.newReqTelemetry(RequestIDFrom(ctx), job)
 
 	// Admission control. A request that cannot meet its declared
 	// deadline — or that finds the queue full — is shed before it costs
@@ -850,7 +806,6 @@ func (s *Server) runScaled(ctx context.Context, job *scaleJob, rt *reqTelemetry,
 	sys := fw.System()
 	sys.Faults = job.spec
 	opts := job.opts
-	opts.EvalCache = job.cache
 	opts.Seed = seed
 	var reqObs *obs.Observer
 	if rt != nil {

@@ -76,27 +76,31 @@ func TestScaleMatchesCLIOutput(t *testing.T) {
 	if c := resp.Header.Get("X-Cache"); c != "miss" {
 		t.Errorf("X-Cache = %q, want miss", c)
 	}
+	if want := cliBody(t, scaler.Options{Retries: 2}); !bytes.Equal(got, want) {
+		t.Errorf("daemon body differs from CLI encoding:\ndaemon:\n%s\ncli:\n%s", got, want)
+	}
+}
 
-	// The CLI path, verbatim: defaults via Normalize, search via
-	// core.Framework.Scale, canonical encoding via api.EncodeDecision.
+// cliBody is the cmd/prescaler -json path for veccombine on system1,
+// verbatim: defaults via Normalize, search via core.Framework.Scale,
+// canonical encoding via api.EncodeDecision.
+func cliBody(t *testing.T, opts scaler.Options) []byte {
+	t.Helper()
+	opts, err := opts.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys := hw.System1()
-	fw := core.NewFramework(sys)
-	opts, err := scaler.Options{Retries: 2}.Normalize()
+	w := wltest.VecCombine(1 << 12)
+	sp, err := core.NewFramework(sys).Scale(context.Background(), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := fw.Scale(context.Background(), wltest.VecCombine(1<<12), opts)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := api.EncodeDecision(&buf, api.NewDecision(sys, w, sp.Search, opts.TOQ, opts.InputSet)); err != nil {
 		t.Fatal(err)
 	}
-	d := api.NewDecision(sys, wltest.VecCombine(1<<12), sp.Search, opts.TOQ, opts.InputSet)
-	var want bytes.Buffer
-	if err := api.EncodeDecision(&want, d); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("daemon body differs from CLI encoding:\ndaemon:\n%s\ncli:\n%s", got, want.Bytes())
-	}
+	return buf.Bytes()
 }
 
 // A repeated request must be served from the decision cache — hit
@@ -248,6 +252,34 @@ func TestErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown decision: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// retries comes from the request body, and every attempt of a trial
+// that keeps faulting holds a worker slot, so both endpoints that take
+// it reject values above the scaler's ceiling of 16 before any search.
+func TestRetriesCeiling(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/scale", `{"benchmark":"veccombine","retries":17}`, http.StatusBadRequest},
+		{"/v1/sessions", `{"benchmark":"veccombine","retries":17}`, http.StatusBadRequest},
+		{"/v1/scale", `{"benchmark":"veccombine","retries":16}`, http.StatusOK},
+	} {
+		resp, body := postJSON(t, ts, c.path, c.body)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d (%s)", c.path, c.body, resp.StatusCode, c.status, body)
+			continue
+		}
+		if c.status == http.StatusOK {
+			continue
+		}
+		var e api.Error
+		if err := json.Unmarshal(body, &e); err != nil || e.Code != "bad_request" {
+			t.Errorf("%s %s: envelope %s, want code bad_request", c.path, c.body, body)
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ type session struct {
 	toq       float64
 	threshold float64
 	ttl       time.Duration
-	cache     *prog.EvalCache // nil under fault injection
+	cache     *prog.EvalCache // the server's per-(system, benchmark) cache
 
 	set        prog.InputSet
 	generation int
@@ -183,7 +183,7 @@ func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.Sca
 		toq:       job.opts.TOQ,
 		threshold: threshold,
 		ttl:       ttl,
-		cache:     job.cache,
+		cache:     job.opts.EvalCache,
 
 		set:        job.opts.InputSet,
 		generation: 1,
@@ -366,13 +366,12 @@ func (s *Server) rescaleLocked(ctx context.Context, sess *session, set prog.Inpu
 	m := s.obs.Metrics()
 	m.Counter("service_rescale", obs.L("reason", reason)).Inc()
 	opts, err := scaler.Options{
-		TOQ: sess.toq, InputSet: set, Retries: sess.retries,
-		DisableEvalCache: true,
+		TOQ: sess.toq, InputSet: set, Retries: sess.retries, EvalCache: sess.cache,
 	}.Normalize()
 	if err != nil {
 		return err
 	}
-	job := &scaleJob{fw: sess.baseFw, w: sess.w, opts: opts, spec: sess.spec, cache: sess.cache}
+	job := &scaleJob{fw: sess.baseFw, w: sess.w, opts: opts, spec: sess.spec}
 	seed := &scaler.Seed{Config: sess.cfg, ObjErr: sess.objErr}
 	if err := s.admit.Acquire(ctx, "session/"+sess.id, s.p99Search); err != nil {
 		return err
@@ -818,6 +817,7 @@ func (s *Server) restoreSession(rec persistRecord) {
 		toq:       snap.TOQ,
 		threshold: snap.DriftThreshold,
 		ttl:       ttl,
+		cache:     s.evalCache(snap.System, w.Name),
 
 		set:        set,
 		generation: snap.Generation,
@@ -831,9 +831,6 @@ func (s *Server) restoreSession(rec persistRecord) {
 		curStats: snap.CurStats,
 		refs:     map[prog.InputSet]*prog.Result{},
 		lastUsed: lastUsed,
-	}
-	if spec == nil {
-		sess.cache = s.evalCache(snap.System, w.Name)
 	}
 	if sess.threshold == 0 {
 		sess.threshold = defaultDriftThreshold

@@ -16,9 +16,9 @@ import (
 // search: the wall-clock trace served from GET /v1/decisions/{id}/trace
 // and the SSE progress stream served from GET /v1/decisions/{id}/events.
 // All of it observes the search without influencing it — decision
-// bodies stay byte-identical with telemetry on or off (pinned by
-// TestTelemetryByteIdentity). A nil *reqTelemetry (Config.
-// DisableTelemetry) is fully inert; every method is nil-safe.
+// bodies stay byte-identical to the CLI's (pinned by
+// TestTelemetryByteIdentity). A nil *reqTelemetry, which session
+// searches pass, is fully inert; every method is nil-safe.
 type reqTelemetry struct {
 	id     string // request id from the middleware, "" outside it
 	wt     *obs.WallTracer
@@ -37,7 +37,7 @@ func (s *Server) newReqTelemetry(rid string, job *scaleJob) *reqTelemetry {
 	return rt
 }
 
-// now reads the wall-trace clock (0 when telemetry is off).
+// now reads the wall-trace clock (0 for a nil receiver).
 func (rt *reqTelemetry) now() float64 {
 	if rt == nil {
 		return 0
@@ -99,7 +99,7 @@ func (rt *reqTelemetry) onProgress(ev scaler.ProgressEvent) {
 }
 
 // closeTrace ends the open spans and renders the wall trace for the
-// decision cache. Returns nil when telemetry is off.
+// decision cache. Returns nil for a nil receiver.
 func (rt *reqTelemetry) closeTrace() []byte {
 	if rt == nil {
 		return nil
@@ -150,8 +150,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace is GET /v1/decisions/{id}/trace: the wall-clock Chrome
-// trace recorded while the decision was computed. Cache hits and
-// telemetry-off servers have no trace; both answer 404.
+// trace recorded while the decision was computed. Decisions stored
+// without one (replayed, warmed by a peer, or computed for a session)
+// answer 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.obs.Metrics().Counter("service_requests", obs.L("endpoint", "trace")).Inc()
 	id := r.PathValue("id")

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
+	"repro/internal/scaler"
 )
 
 // sseRecord is one parsed server-sent event.
@@ -127,19 +128,17 @@ func fingerprintOnly(t *testing.T, base, body string) (string, bool) {
 	return out.DecisionID, out.Cached
 }
 
-// Decision bodies must be byte-identical with telemetry on
-// (structured logs, request ids, SSE subscribers, wall traces) and off
-// (DisableTelemetry): every telemetry channel is a side channel.
+// Decision bodies must stay byte-identical to the CLI encoding with
+// every telemetry channel exercised (structured logs at debug level,
+// request ids, SSE subscribers, wall traces): each is a side channel.
 func TestTelemetryByteIdentity(t *testing.T) {
 	var logs bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	_, on := newTestServer(t, Config{Logger: logger})
-	_, off := newTestServer(t, Config{DisableTelemetry: true})
+	_, ts := newTestServer(t, Config{Logger: logger})
 	req := `{"benchmark":"veccombine","toq":0.92}`
 
-	// Exercise the full telemetry path on the "on" server: subscribe to
-	// the SSE stream before the search runs.
-	id, cached := fingerprintOnly(t, on.URL, req)
+	// Subscribe to the SSE stream before the search runs.
+	id, cached := fingerprintOnly(t, ts.URL, req)
 	if cached {
 		t.Fatal("fingerprint reports cached before any search")
 	}
@@ -148,31 +147,22 @@ func TestTelemetryByteIdentity(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		streamed = readSSE(t, on.URL, id)
+		streamed = readSSE(t, ts.URL, id)
 	}()
 
-	respOn, bodyOn := postScale(t, on, req)
+	resp, body := postScale(t, ts, req)
 	wg.Wait()
-	respOff, err := http.Post(off.URL+"/v1/scale", "application/json", strings.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	bodyOff, _ := io.ReadAll(respOff.Body)
-	respOff.Body.Close()
-	if respOn.StatusCode != http.StatusOK || respOff.StatusCode != http.StatusOK {
-		t.Fatalf("status %d / %d", respOn.StatusCode, respOff.StatusCode)
-	}
-	if !bytes.Equal(bodyOn, bodyOff) {
-		t.Errorf("decision bodies differ with telemetry on vs off:\non:\n%s\noff:\n%s", bodyOn, bodyOff)
+	if want := cliBody(t, scaler.Options{TOQ: 0.92, Retries: 2}); !bytes.Equal(body, want) {
+		t.Errorf("instrumented daemon body differs from CLI encoding:\ndaemon:\n%s\ncli:\n%s", body, want)
 	}
 	assertProgressStream(t, streamed)
 
-	rid := respOn.Header.Get("X-Request-Id")
+	rid := resp.Header.Get("X-Request-Id")
 	if rid == "" {
-		t.Error("telemetry-on response missing X-Request-Id")
-	}
-	if got := respOff.Header.Get("X-Request-Id"); got != "" {
-		t.Errorf("telemetry-off response has X-Request-Id %q", got)
+		t.Error("response missing X-Request-Id")
 	}
 	if !strings.Contains(logs.String(), rid) {
 		t.Errorf("access log does not mention request id %s:\n%s", rid, logs.String())
@@ -258,18 +248,6 @@ func TestDecisionTrace(t *testing.T) {
 		r.Body.Close()
 		if r.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown trace status %d, want 404", r.StatusCode)
-		}
-	}
-
-	// A telemetry-off server records no traces.
-	_, off := newTestServer(t, Config{DisableTelemetry: true})
-	respOff, _ := postScale(t, off, `{"benchmark":"veccombine"}`)
-	if r, err := http.Get(off.URL + "/v1/decisions/" + respOff.Header.Get("X-Decision-Id") + "/trace"); err != nil {
-		t.Fatal(err)
-	} else {
-		r.Body.Close()
-		if r.StatusCode != http.StatusNotFound {
-			t.Errorf("telemetry-off trace status %d, want 404", r.StatusCode)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kir"
-	"repro/internal/ocl"
+	"repro/internal/obs"
 	"repro/internal/precision"
 	"repro/internal/prog"
 	"repro/internal/scaler"
@@ -107,7 +107,11 @@ func main() {
 	fmt.Println()
 	fmt.Print(sp.Describe())
 
-	res, err := sp.Run(prog.InputDefault)
+	// Run the scaled program once more with an observer's runtime hook
+	// attached: it turns each runtime event into a span on the host, bus
+	// or device row of the trace.
+	o := obs.New()
+	res, err := prog.Run(sys, sp.Workload, prog.InputDefault, sp.Config, o.RunHook())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := ocl.WriteChromeTrace(f, res.Events); err != nil {
+	if err := o.Tracer().WriteChromeTrace(f); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote %d trace events to prescaler-trace.json (open in chrome://tracing)\n", len(res.Events))

@@ -26,7 +26,8 @@ type SessionRequest struct {
 	Faults    string  `json:"faults,omitempty"`
 	FaultSeed uint64  `json:"fault_seed,omitempty"`
 	Retries   *int    `json:"retries,omitempty"`
-	// TTLSeconds overrides the server's idle expiry for this session.
+	// TTLSeconds shortens the server's idle expiry for this session; a
+	// value at or above the server's limit gets the limit.
 	TTLSeconds int `json:"ttl_seconds,omitempty"`
 	// DriftThreshold overrides the normalized-shift threshold beyond
 	// which an input object counts as drifted (see prog.NormalizedShift).

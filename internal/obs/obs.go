@@ -25,7 +25,7 @@ func New() *Observer {
 
 // Compose builds an observer from explicit pillars, any of which may be
 // nil (that pillar is then inert). The decision service uses it to give
-// every request its own tracer and journal while all requests share the
+// every request its own journal while all requests share the
 // process-wide metrics registry that /metrics renders.
 func Compose(t *Tracer, m *Registry, j *Journal) *Observer {
 	return &Observer{trace: t, metrics: m, journal: j}
@@ -62,13 +62,15 @@ func (o *Observer) Explain() string { return o.Journal().Render() }
 // pipeline code calls it after each trial with the trial's total.
 func (o *Observer) Advance(d float64) { o.Tracer().Advance(d) }
 
-// RunHook returns an ocl.Hook that replays one program execution's
-// runtime events as spans (on the host/bus/device rows, offset by the
-// tracer's current clock) and feeds the event metrics. Create a fresh
-// hook per execution; it captures the clock base at creation. Returns
-// nil — which prog.Run skips — on a nil observer.
+// RunHook returns an ocl.Hook that feeds one program execution's
+// runtime events into the event metrics and, when a tracer is attached,
+// replays them as spans on the host/bus/device rows, offset by the
+// tracer's current clock. It is the one place runtime events become
+// spans. Create a fresh hook per execution; it captures the clock base at
+// creation. Returns nil — which prog.Run skips — when the observer has
+// neither a tracer nor a metrics registry.
 func (o *Observer) RunHook() ocl.Hook {
-	if o == nil || o.trace == nil {
+	if o == nil || (o.trace == nil && o.metrics == nil) {
 		return nil
 	}
 	return &runHook{obs: o, base: o.trace.Now()}
@@ -88,25 +90,17 @@ func (h *runHook) BufferCreated(b *ocl.Buffer) {
 	m.Counter("ocl_buffer_bytes", L("precision", b.Elem().String())).Add(float64(b.Bytes()))
 }
 
-// EventRecorded turns each queue event into a span on its activity row
-// and accumulates the event metrics: counts and durations by kind and
-// direction, transferred bytes, and per-precision dynamic flop counts
-// from the kernel interpreter.
+// EventRecorded accumulates the event metrics — counts and durations by
+// kind and direction, transferred bytes, and per-precision dynamic flop
+// counts from the kernel interpreter — and, when a tracer is attached,
+// turns the event into a span on its activity row.
 func (h *runHook) EventRecorded(e ocl.Event) {
-	t := h.obs.trace
 	m := h.obs.metrics
 	kind := e.Kind.String()
 	m.Counter("ocl_events", L("kind", kind), L("dir", e.Dir.String())).Inc()
 	m.Counter("ocl_event_seconds", L("kind", kind), L("dir", e.Dir.String())).Add(e.Duration)
-
-	start := h.base + e.Start
 	switch e.Kind {
 	case ocl.EvKernel:
-		t.Emit("kernel "+e.Kernel, "kernel", RowDevice, start, e.Duration,
-			A("work_items", e.Counts.WorkItems),
-			A("flops", totalFlops(e.Counts)),
-			A("conv_ops", e.Counts.ConvOps),
-		)
 		for _, prec := range precision.Descending {
 			if n := e.Counts.Flops[prec]; n > 0 {
 				m.Counter("kernel_flops", L("precision", prec.String())).Add(n)
@@ -115,21 +109,43 @@ func (h *runHook) EventRecorded(e ocl.Event) {
 		m.Counter("kernel_conv_ops").Add(e.Counts.ConvOps)
 		m.Counter("kernel_launches", L("kernel", e.Kernel)).Inc()
 	case ocl.EvDeviceConvert:
+		m.Counter("convert_elems", L("side", "device")).Add(float64(e.Elems))
+	case ocl.EvHostConvert:
+		m.Counter("convert_elems", L("side", "host")).Add(float64(e.Elems))
+	case ocl.EvWrite:
+		m.Counter("bus_bytes", L("dir", "HtoD")).Add(float64(e.Bytes))
+	case ocl.EvRead:
+		m.Counter("bus_bytes", L("dir", "DtoH")).Add(float64(e.Bytes))
+	}
+	if h.obs.trace != nil {
+		h.span(e)
+	}
+}
+
+// span records e on its row: kernels and device-side conversions on the
+// device row, host conversions on the host row, transfers on the bus.
+func (h *runHook) span(e ocl.Event) {
+	t := h.obs.trace
+	start := h.base + e.Start
+	switch e.Kind {
+	case ocl.EvKernel:
+		t.Emit("kernel "+e.Kernel, "kernel", RowDevice, start, e.Duration,
+			A("work_items", e.Counts.WorkItems),
+			A("flops", totalFlops(e.Counts)),
+			A("conv_ops", e.Counts.ConvOps),
+		)
+	case ocl.EvDeviceConvert:
 		t.Emit(fmt.Sprintf("device convert %s->%s", e.Src, e.Dst), e.Dir.String(), RowDevice, start, e.Duration,
 			A("elems", e.Elems))
-		m.Counter("convert_elems", L("side", "device")).Add(float64(e.Elems))
 	case ocl.EvHostConvert:
 		t.Emit(fmt.Sprintf("host convert %s->%s", e.Src, e.Dst), e.Dir.String(), RowHost, start, e.Duration,
 			A("elems", e.Elems))
-		m.Counter("convert_elems", L("side", "host")).Add(float64(e.Elems))
 	case ocl.EvWrite:
 		t.Emit(fmt.Sprintf("HtoD %s (%d B)", e.Dst, e.Bytes), e.Dir.String(), RowBus, start, e.Duration,
 			A("bytes", e.Bytes), A("buffer", e.Buffer))
-		m.Counter("bus_bytes", L("dir", "HtoD")).Add(float64(e.Bytes))
 	case ocl.EvRead:
 		t.Emit(fmt.Sprintf("DtoH %s (%d B)", e.Src, e.Bytes), e.Dir.String(), RowBus, start, e.Duration,
 			A("bytes", e.Bytes), A("buffer", e.Buffer))
-		m.Counter("bus_bytes", L("dir", "DtoH")).Add(float64(e.Bytes))
 	}
 }
 

@@ -8,7 +8,8 @@
 // nil check when observability is off and the scaler's decisions stay
 // bit-identical whether or not an Observer is attached.
 //
-// Time never comes from the wall clock. Spans are stamped from a virtual
+// Time never comes from the wall clock, with one exception: a tracer
+// built by NewWallTracer. Every other tracer stamps spans from a virtual
 // clock that pipeline code advances by each trial's simulated duration,
 // which makes exported traces deterministic: two runs of the same
 // workload produce byte-identical Chrome trace JSON.
@@ -25,8 +26,8 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
+	"time"
 )
 
 // Attr is one span attribute. Attributes are exported as Chrome
@@ -60,7 +61,7 @@ func (s *Span) SetAttr(key string, val any) {
 	s.Attrs = append(s.Attrs, Attr{Key: key, Val: val})
 }
 
-// Duration returns the span length in simulated seconds.
+// Duration returns the span length in seconds of the tracer's clock.
 func (s *Span) Duration() float64 {
 	if s == nil {
 		return 0
@@ -77,46 +78,79 @@ const (
 	RowDevice   = 3
 )
 
-// rowNames labels the rows in exported traces.
-var rowNames = map[int]string{
-	RowPipeline: "pipeline",
-	RowHost:     "host",
-	RowBus:      "bus",
-	RowDevice:   "device",
-}
+// Wall-trace rows: the request lifecycle on one row, individual search
+// trials on another so nesting stays readable. Tracer.Start opens spans
+// on row 0, the request row.
+const (
+	WallRowRequest = 0
+	WallRowTrials  = 1
+)
 
-// Tracer records hierarchical spans against a virtual clock. All
-// methods are safe for concurrent use; note, however, that determinism
-// of the exported trace (byte-identical JSON across runs) additionally
-// requires that spans be recorded in a deterministic order — parallel
-// pipeline code achieves that by recording runs off-line in worker
-// goroutines and replaying them into the tracer in a fixed merge order
-// (see internal/scaler).
+// rowNames and wallRowNames label the rows, indexed by row id, in traces
+// exported by virtual-clock and wall-clock tracers.
+var (
+	rowNames     = []string{"pipeline", "host", "bus", "device"}
+	wallRowNames = []string{"request", "trials"}
+)
+
+// Tracer records hierarchical spans against a clock fixed at
+// construction, and the two clocks never mix within one tracer:
+//
+//   - NewTracer's virtual clock moves only by Advance, which pipeline
+//     code calls with each trial's modeled duration. Its exports describe
+//     what the modeled hardware did and are byte-identical across runs.
+//   - NewWallTracer's clock reads the seconds since the tracer was built.
+//     Its exports describe what this process spent (request handling,
+//     queue waits, real search latency) and are never deterministic. The
+//     decision service records one per decision and serves it from
+//     GET /v1/decisions/{id}/trace.
+//
+// All methods are safe for concurrent use; note, however, that
+// determinism of a virtual-clock export (byte-identical JSON across
+// runs) additionally requires that spans be recorded in a deterministic
+// order — parallel pipeline code achieves that by recording runs
+// off-line in worker goroutines and replaying them into the tracer in a
+// fixed merge order (see internal/scaler).
 type Tracer struct {
 	mu    sync.Mutex
-	now   float64
+	wall  bool      // the clock is time.Since(epoch), not now
+	epoch time.Time // construction time of a wall tracer
+	now   float64   // the virtual clock
 	spans []*Span
-	stack []*Span
 }
 
-// NewTracer creates a tracer with the clock at zero.
+// NewTracer creates a virtual-clock tracer with the clock at zero.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Now returns the virtual clock in simulated seconds.
+// NewWallTracer creates a wall-clock tracer whose clock reads the
+// seconds elapsed since this call, so traces from different requests
+// all start near zero and load side by side. Advance does not move it.
+func NewWallTracer() *Tracer { return &Tracer{wall: true, epoch: time.Now()} }
+
+// Now returns the clock in seconds.
 func (t *Tracer) Now() float64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.nowLocked()
+}
+
+// nowLocked reads the clock; the caller holds t.mu.
+func (t *Tracer) nowLocked() float64 {
+	if t.wall {
+		return time.Since(t.epoch).Seconds()
+	}
 	return t.now
 }
 
 // Advance moves the virtual clock forward by d simulated seconds.
 // Pipeline code calls this after each trial with the trial's simulated
-// total, so sibling trials occupy disjoint time ranges.
+// total, so sibling trials occupy disjoint time ranges. It is a no-op on
+// a wall tracer.
 func (t *Tracer) Advance(d float64) {
-	if t == nil || d <= 0 {
+	if t == nil || t.wall || d <= 0 {
 		return
 	}
 	t.mu.Lock()
@@ -124,18 +158,18 @@ func (t *Tracer) Advance(d float64) {
 	t.now += d
 }
 
-// Start opens a span at the current clock on the pipeline row. Spans
-// nest: a span started while another is open becomes its child in the
-// exported timeline (Chrome nests same-row slices by time containment).
+// Start opens a span at the current clock on row 0 (the pipeline row of
+// a virtual trace, the request row of a wall trace). Spans nest: a span
+// started while another is open becomes its child in the exported
+// timeline (Chrome nests same-row slices by time containment).
 func (t *Tracer) Start(name, cat string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &Span{Name: name, Cat: cat, TID: RowPipeline, Start: t.now, Attrs: attrs, open: true}
+	s := &Span{Name: name, Cat: cat, TID: RowPipeline, Start: t.nowLocked(), Attrs: attrs, open: true}
 	t.spans = append(t.spans, s)
-	t.stack = append(t.stack, s)
 	return s
 }
 
@@ -149,14 +183,8 @@ func (t *Tracer) End(s *Span) {
 	if !s.open {
 		return
 	}
-	s.Stop = t.now
+	s.Stop = t.nowLocked()
 	s.open = false
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i] == s {
-			t.stack = append(t.stack[:i], t.stack[i+1:]...)
-			break
-		}
-	}
 }
 
 // Emit records a complete span with explicit start and duration (clock
@@ -200,9 +228,9 @@ type chromeEvent struct {
 }
 
 // WriteChromeTrace exports the recorded spans as Chrome trace-event
-// JSON. Output is deterministic: spans appear in creation order, still-
-// open spans are closed at the current clock, and metadata rows name the
-// pipeline/host/bus/device threads.
+// JSON: metadata events naming the rows first, then the spans in
+// creation order, still-open spans closed at the current clock. A
+// virtual-clock export is deterministic.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := w.Write([]byte("{\"traceEvents\":[]}\n"))
@@ -210,27 +238,19 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return writeChromeEvents(w, t.spans, t.now, rowNames)
-}
-
-// writeChromeEvents renders spans as Chrome trace-event JSON: metadata
-// rows first (sorted by row id), then the spans in recorded order,
-// still-open spans closed at now. Shared by the virtual-clock Tracer
-// and the wall-clock WallTracer; callers hold their own locks.
-func writeChromeEvents(w io.Writer, spans []*Span, now float64, names map[int]string) error {
-	out := make([]chromeEvent, 0, len(spans)+len(names))
-	rows := make([]int, 0, len(names))
-	for row := range names {
-		rows = append(rows, row)
+	names := rowNames
+	if t.wall {
+		names = wallRowNames
 	}
-	sort.Ints(rows)
-	for _, row := range rows {
+	now := t.nowLocked()
+	out := make([]chromeEvent, 0, len(t.spans)+len(names))
+	for row, name := range names {
 		out = append(out, chromeEvent{
 			Name: "thread_name", Phase: "M", PID: 1, TID: row,
-			Args: map[string]any{"name": names[row]},
+			Args: map[string]any{"name": name},
 		})
 	}
-	for _, s := range spans {
+	for _, s := range t.spans {
 		stop := s.Stop
 		if s.open {
 			stop = now

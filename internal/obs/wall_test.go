@@ -9,11 +9,17 @@ import (
 
 func TestWallTracerChromeExport(t *testing.T) {
 	wt := NewWallTracer()
-	req := wt.Begin("request GEMM", "request", WallRowRequest, A("id", "abc"))
-	q := wt.Begin("queue-wait", "queue", WallRowRequest)
+	req := wt.Start("request GEMM", "request", A("id", "abc"))
+	q := wt.Start("queue-wait", "queue")
 	wt.End(q)
 	wt.Emit("trial uniform single", "trial", WallRowTrials, wt.Now(), 0.001, A("quality", 0.97))
 	wt.End(req)
+	// The wall clock cannot be advanced like the virtual one.
+	before := wt.Now()
+	wt.Advance(1000)
+	if wt.Now()-before >= 1000 {
+		t.Error("Advance moved a wall tracer's clock")
+	}
 
 	var buf bytes.Buffer
 	if err := wt.WriteChromeTrace(&buf); err != nil {
@@ -39,6 +45,9 @@ func TestWallTracerChromeExport(t *testing.T) {
 		if e.Phase == "M" {
 			rows[e.Args["name"].(string)] = true
 		}
+		if e.Phase == "X" && e.Name != "trial uniform single" && e.TID != WallRowRequest {
+			t.Errorf("span %s on row %d, want the request row", e.Name, e.TID)
+		}
 		if e.Phase == "X" && e.TS < 0 {
 			t.Errorf("span %s has negative timestamp %v", e.Name, e.TS)
 		}
@@ -48,14 +57,14 @@ func TestWallTracerChromeExport(t *testing.T) {
 			t.Errorf("trace missing span %q:\n%s", want, buf.String())
 		}
 	}
-	if !rows["request"] || !rows["trials"] {
-		t.Errorf("trace missing row metadata: %v", rows)
+	if len(rows) != 2 || !rows["request"] || !rows["trials"] {
+		t.Errorf("wall trace rows %v, want request and trials only", rows)
 	}
 }
 
 func TestWallTracerNilAndOpenSpans(t *testing.T) {
-	var wt *WallTracer
-	wt.End(wt.Begin("x", "y", 0))
+	var wt *Tracer
+	wt.End(wt.Start("x", "y"))
 	wt.Emit("x", "y", 0, 0, 1)
 	var buf bytes.Buffer
 	if err := wt.WriteChromeTrace(&buf); err != nil {
@@ -67,7 +76,7 @@ func TestWallTracerNilAndOpenSpans(t *testing.T) {
 
 	// An open span is closed at export time with a non-negative duration.
 	wt2 := NewWallTracer()
-	wt2.Begin("open", "request", WallRowRequest)
+	wt2.Start("open", "request")
 	buf.Reset()
 	if err := wt2.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -103,7 +112,7 @@ func TestWallTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s := wt.Begin("s", "c", WallRowTrials)
+				s := wt.Start("s", "c")
 				wt.Emit("e", "c", WallRowTrials, wt.Now(), 0)
 				wt.End(s)
 			}

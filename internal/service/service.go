@@ -809,16 +809,18 @@ func (s *Server) runScaled(ctx context.Context, job *scaleJob, rt *reqTelemetry,
 	opts.Seed = seed
 	var reqObs *obs.Observer
 	if rt != nil {
-		// The per-request journal and virtual tracer share the
-		// process-wide metrics registry: /metrics aggregates across
-		// requests while the explain journal stays request-scoped. The
-		// request id lands in the journal, so an explain report, an
-		// access-log line, and a client's X-Request-Id all join up.
+		// The per-request journal shares the process-wide metrics
+		// registry: /metrics aggregates across requests while the
+		// explain journal stays request-scoped. The request id lands in
+		// the journal, so an explain report, an access-log line, and a
+		// client's X-Request-Id all join up. No virtual-clock tracer is
+		// attached: nothing serves one, and the runtime hook feeds the
+		// registry without it.
 		j := &obs.Journal{}
 		if rt.id != "" {
 			j.Note("request %s", rt.id)
 		}
-		reqObs = obs.Compose(obs.NewTracer(), s.obs.Metrics(), j)
+		reqObs = obs.Compose(nil, s.obs.Metrics(), j)
 		opts.Obs = reqObs
 		opts.Progress = rt.onProgress
 		rt.beginSearch()

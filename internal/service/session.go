@@ -19,6 +19,9 @@ package service
 // actionable signal. Evaluates on one session serialize on the
 // session's own mutex; different sessions proceed in parallel, with
 // re-searches running under the same admission controller as /v1/scale.
+// The session store's lock (smu) is never held while a session's mutex
+// is taken, so a re-scale queued for a worker slot stalls only its own
+// session.
 //
 // Sessions persist: every generation change appends a full snapshot
 // (identified by the "sess"-prefixed id, disjoint from the 16-hex-char
@@ -33,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -57,9 +61,10 @@ const (
 	defaultDriftThreshold = 0.25
 )
 
-// session is one live session. Its mutex serializes evaluates (and
-// guards every mutable field, including lastUsed); the server's smu
-// orders strictly before it.
+// session is one live session. Its mutex serializes evaluates and
+// guards every mutable field but lastUsed, which is atomic so that
+// lookups and eviction under the server's smu never wait for an
+// evaluate; ttl is fixed at creation.
 type session struct {
 	mu sync.Mutex
 
@@ -90,7 +95,24 @@ type session struct {
 	curStats map[string]*prog.RunningStats // accumulated stats of evaluated batches
 	refs     map[prog.InputSet]*prog.Result
 
-	lastUsed time.Time
+	lastUsed atomic.Int64 // unix nanoseconds of creation or the last evaluate
+}
+
+// touch records a use of the session at t.
+func (sess *session) touch(t time.Time) { sess.lastUsed.Store(t.UnixNano()) }
+
+// lastUse returns the time of the session's last use.
+func (sess *session) lastUse() time.Time { return time.Unix(0, sess.lastUsed.Load()) }
+
+// sessionTTL is the idle expiry of a session that asked for ttlSeconds
+// (0 or less: none) on a server whose limit is limit. A request may only
+// shorten the limit; comparing in seconds before converting keeps huge
+// requests from overflowing time.Duration.
+func sessionTTL(ttlSeconds int, limit time.Duration) time.Duration {
+	if ttlSeconds <= 0 || float64(ttlSeconds) >= limit.Seconds() {
+		return limit
+	}
+	return time.Duration(ttlSeconds) * time.Second
 }
 
 // handleSessionCreate is POST /v1/sessions: validate like /v1/scale,
@@ -155,10 +177,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 // newSession builds the session state around a completed cold search.
 func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.ScaledProgram, body []byte) (*session, error) {
-	ttl := s.sessTTL
-	if req.TTLSeconds > 0 {
-		ttl = time.Duration(req.TTLSeconds) * time.Second
-	}
 	threshold := req.DriftThreshold
 	if threshold == 0 {
 		threshold = defaultDriftThreshold
@@ -182,7 +200,7 @@ func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.Sca
 		retries:   job.opts.Retries,
 		toq:       job.opts.TOQ,
 		threshold: threshold,
-		ttl:       ttl,
+		ttl:       sessionTTL(req.TTLSeconds, s.sessTTL),
 		cache:     job.opts.EvalCache,
 
 		set:        job.opts.InputSet,
@@ -194,8 +212,8 @@ func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.Sca
 
 		curStats: map[string]*prog.RunningStats{},
 		refs:     map[prog.InputSet]*prog.Result{},
-		lastUsed: s.now(),
 	}
+	sess.touch(s.now())
 	ref, err := sess.reference(sess.set)
 	if err != nil {
 		return nil, err
@@ -269,7 +287,7 @@ func (s *Server) handleSessionEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	sess.lastUsed = s.now()
+	sess.touch(s.now())
 	if data, merr := json.Marshal(resp); merr == nil {
 		s.publishSession(sess.id, "evaluate", data)
 	}
@@ -488,10 +506,7 @@ func (s *Server) session(id string) *session {
 	if !ok {
 		return nil
 	}
-	sess.mu.Lock()
-	expired := s.now().Sub(sess.lastUsed) > sess.ttl
-	sess.mu.Unlock()
-	if expired {
+	if s.now().Sub(sess.lastUse()) > sess.ttl {
 		s.dropSessionLocked(id, "expired")
 		return nil
 	}
@@ -506,15 +521,12 @@ func (s *Server) insertSession(sess *session) {
 	s.sessions[sess.id] = sess
 	for len(s.sessions) > s.maxSessions {
 		victim := ""
-		var oldest time.Time
+		var oldest int64
 		for id, other := range s.sessions {
 			if id == sess.id {
 				continue
 			}
-			other.mu.Lock()
-			lu := other.lastUsed
-			other.mu.Unlock()
-			if victim == "" || lu.Before(oldest) {
+			if lu := other.lastUsed.Load(); victim == "" || lu < oldest {
 				victim, oldest = id, lu
 			}
 		}
@@ -699,7 +711,7 @@ func (sess *session) snapshotLocked() *sessionSnapshot {
 		Generation:     sess.generation,
 		Reason:         sess.reason,
 		Trials:         sess.trials,
-		LastUsedUnix:   sess.lastUsed.Unix(),
+		LastUsedUnix:   sess.lastUse().Unix(),
 		Objects:        objs,
 		ObjErr:         sess.objErr,
 		RefStats:       sess.refStats,
@@ -722,22 +734,25 @@ func (s *Server) journalSessionLocked(sess *session) {
 }
 
 // sessionSnapshots captures every open session for journal compaction.
+// The store is copied under smu and each session snapshotted after
+// releasing it, so a session busy in a re-scale delays compaction but
+// no other session. A session inserted after the copy journals its own
+// record after insertion, so the truncated WAL loses nothing.
 func (s *Server) sessionSnapshots() []persistRecord {
 	s.smu.Lock()
-	defer s.smu.Unlock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
 	}
-	sort.Strings(ids)
-	recs := make([]persistRecord, 0, len(ids))
-	for _, id := range ids {
-		sess := s.sessions[id]
+	s.smu.Unlock()
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
+	recs := make([]persistRecord, 0, len(sessions))
+	for _, sess := range sessions {
 		sess.mu.Lock()
 		data, err := json.Marshal(sess.snapshotLocked())
 		sess.mu.Unlock()
 		if err == nil {
-			recs = append(recs, persistRecord{id: id, body: data})
+			recs = append(recs, persistRecord{id: sess.id, body: data})
 		}
 	}
 	return recs
@@ -758,10 +773,7 @@ func (s *Server) restoreSession(rec persistRecord) {
 		skipped("corrupt")
 		return
 	}
-	ttl := time.Duration(snap.TTLSeconds) * time.Second
-	if ttl <= 0 {
-		ttl = s.sessTTL
-	}
+	ttl := sessionTTL(snap.TTLSeconds, s.sessTTL)
 	lastUsed := time.Unix(snap.LastUsedUnix, 0)
 	if s.now().Sub(lastUsed) > ttl {
 		skipped("expired")
@@ -830,8 +842,8 @@ func (s *Server) restoreSession(rec persistRecord) {
 		refStats: snap.RefStats,
 		curStats: snap.CurStats,
 		refs:     map[prog.InputSet]*prog.Result{},
-		lastUsed: lastUsed,
 	}
+	sess.touch(lastUsed)
 	if sess.threshold == 0 {
 		sess.threshold = defaultDriftThreshold
 	}

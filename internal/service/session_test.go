@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -192,6 +193,118 @@ func TestSessionExpiry(t *testing.T) {
 	}
 	if v := o.Metrics().Counter("service_session_drops", obs.L("reason", "expired")).Value(); v != 1 {
 		t.Errorf("expired-drop counter = %v, want 1", v)
+	}
+}
+
+// ttl_seconds can only shorten the server's session TTL: a request at
+// or above the limit gets the limit, and one too large for a
+// time.Duration must not overflow into an already-expired session.
+func TestSessionTTLClamp(t *testing.T) {
+	_, ts := newTestServer(t, Config{SessionTTL: time.Hour})
+	for _, c := range []struct {
+		ttl, want int
+	}{
+		{10_000_000_000, 3600},
+		{864000, 3600},
+		{3600, 3600},
+		{60, 60},
+		{0, 3600},
+	} {
+		body := `{"benchmark":"veccombine"}`
+		if c.ttl != 0 {
+			body = fmt.Sprintf(`{"benchmark":"veccombine","ttl_seconds":%d}`, c.ttl)
+		}
+		sess, _ := createSession(t, ts, body)
+		if sess.TTLSeconds != c.want {
+			t.Errorf("ttl_seconds %d: session ttl %d, want %d", c.ttl, sess.TTLSeconds, c.want)
+		}
+		if resp, b := getSession(t, ts, sess.ID); resp.StatusCode != http.StatusOK {
+			t.Errorf("ttl_seconds %d: get status %d: %s", c.ttl, resp.StatusCode, b)
+		}
+	}
+}
+
+// A re-scale waiting for a worker slot holds only its own session:
+// lookups of other sessions, and journal compaction's walk over the
+// store, must not queue behind it.
+func TestSessionRescaleDoesNotBlockOtherSessions(t *testing.T) {
+	o := obs.New()
+	srv, ts := newTestServer(t, Config{Workers: 1, Obs: o})
+	a, _ := createSession(t, ts, `{"benchmark":"veccombine","input_set":"random"}`)
+	b, _ := createSession(t, ts, `{"benchmark":"veccombine","input_set":"random","toq":0.95}`)
+
+	// Park a search on the only worker slot, so session A's re-scale
+	// queues for it while holding A's mutex.
+	started := make(chan struct{})
+	block := make(chan struct{})
+	srv.testSearchStarted = func(ctx context.Context, bench string) {
+		if bench == "halfhostile" {
+			close(started)
+			<-block
+		}
+	}
+	// request issues one call off the test goroutine, keeping its body.
+	var wg sync.WaitGroup
+	request := func(method, path, body string, out *[]byte) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
+			if out != nil {
+				*out = data
+			}
+		}()
+	}
+	request(http.MethodPost, "/v1/scale", `{"benchmark":"halfhostile"}`, nil)
+	<-started
+	var evaluated []byte
+	request(http.MethodPost, "/v1/sessions/"+a.ID+"/evaluate", `{"input_set":"image"}`, &evaluated)
+	waitFor(t, func() bool { return srv.admit.Depth() == 1 })
+
+	// A lookup of A itself, and compaction, wait for A. Once the lookup's
+	// handler has started, give both a moment to reach A's mutex: cut
+	// short, the check below can only pass vacuously, never fail.
+	request(http.MethodGet, "/v1/sessions/"+a.ID, "", nil)
+	lookups := o.Metrics().Counter("service_requests", obs.L("endpoint", "sessions"))
+	waitFor(t, func() bool { return lookups.Value() == 3 })
+	wg.Add(1)
+	snaps := make(chan []persistRecord, 1)
+	go func() {
+		defer wg.Done()
+		snaps <- srv.sessionSnapshots()
+	}()
+	time.Sleep(50 * time.Millisecond)
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Get(ts.URL + "/v1/sessions/" + b.ID)
+	if err != nil {
+		close(block)
+		wg.Wait()
+		t.Fatalf("get of an unrelated session blocked behind a queued re-scale: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("get of an unrelated session: status %d", resp.StatusCode)
+	}
+
+	close(block)
+	wg.Wait()
+	var ev api.EvaluateResponse
+	if err := json.Unmarshal(evaluated, &ev); err != nil || !ev.Rescaled || ev.Generation != 2 {
+		t.Errorf("queued re-scale did not complete once the slot freed: %s", evaluated)
+	}
+	var ids []string
+	for _, rec := range <-snaps {
+		ids = append(ids, rec.id)
+	}
+	if len(ids) != 2 || ids[0] != a.ID || ids[1] != b.ID {
+		t.Errorf("compaction snapshotted sessions %v, want both %s and %s", ids, a.ID, b.ID)
 	}
 }
 

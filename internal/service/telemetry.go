@@ -20,9 +20,9 @@ import (
 // TestTelemetryByteIdentity). A nil *reqTelemetry, which session
 // searches pass, is fully inert; every method is nil-safe.
 type reqTelemetry struct {
-	id     string // request id from the middleware, "" outside it
-	wt     *obs.WallTracer
-	stream *stream // nil when the hub is at capacity
+	id     string      // request id from the middleware, "" outside it
+	wt     *obs.Tracer // wall clock
+	stream *stream     // nil when the hub is at capacity
 	req    *obs.Span
 	search *obs.Span
 	last   float64 // wall time the previous trial span ended at
@@ -32,7 +32,7 @@ type reqTelemetry struct {
 // cache-miss search.
 func (s *Server) newReqTelemetry(rid string, job *scaleJob) *reqTelemetry {
 	rt := &reqTelemetry{id: rid, wt: obs.NewWallTracer(), stream: s.hub.start(job.id)}
-	rt.req = rt.wt.Begin("scale "+job.w.Name, "request", obs.WallRowRequest,
+	rt.req = rt.wt.Start("scale "+job.w.Name, "request",
 		obs.A("request_id", rid), obs.A("decision_id", job.id))
 	return rt
 }
@@ -67,7 +67,7 @@ func (rt *reqTelemetry) beginSearch() {
 	if rt == nil {
 		return
 	}
-	rt.search = rt.wt.Begin("search", "request", obs.WallRowRequest)
+	rt.search = rt.wt.Start("search", "request")
 	rt.last = rt.wt.Now()
 }
 

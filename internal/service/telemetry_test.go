@@ -15,7 +15,10 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/polybench"
 	"repro/internal/scaler"
 )
 
@@ -167,6 +170,57 @@ func TestTelemetryByteIdentity(t *testing.T) {
 	if !strings.Contains(logs.String(), rid) {
 		t.Errorf("access log does not mention request id %s:\n%s", rid, logs.String())
 	}
+}
+
+// A cache miss feeds the shared registry the same runtime and scaler
+// metrics as an observed CLI search of the same request, although the
+// daemon attaches no virtual-clock tracer to its searches: the runtime
+// hook feeds the registry on its own.
+func TestMissMetricsMatchCLI(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, Config{Obs: o, Workload: polybench.ByName})
+	if resp, body := postScale(t, ts, `{"benchmark":"ATAX"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+
+	opts, err := scaler.DefaultOptions().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := obs.New()
+	opts.Obs = cli
+	if _, err := core.NewFramework(hw.System1()).Scale(context.Background(), polybench.ByName("ATAX"), opts); err != nil {
+		t.Fatal(err)
+	}
+	got, want := searchMetrics(t, o.Metrics()), searchMetrics(t, cli.Metrics())
+	if !strings.Contains(want, "ocl_events,") || !strings.Contains(want, "trials_executed,") {
+		t.Fatalf("CLI registry lacks runtime or scaler metrics:\n%s", want)
+	}
+	if got != want {
+		t.Errorf("daemon search metrics differ from the CLI's:\ndaemon:\n%s\ncli:\n%s", got, want)
+	}
+}
+
+// searchMetrics renders the runtime and scaler metric families of reg,
+// the ones a search feeds, as CSV rows.
+func searchMetrics(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, row := range strings.Split(buf.String(), "\n") {
+		name, _, _ := strings.Cut(row, ",")
+		for _, family := range []string{"ocl_", "kernel_", "bus_bytes", "convert_elems", "trials_",
+			"toq_outcome", "search_", "object_precision", "conversion_method"} {
+			if strings.HasPrefix(name, family) {
+				rows = append(rows, row)
+				break
+			}
+		}
+	}
+	return strings.Join(rows, "\n")
 }
 
 // The SSE stream must deliver trial events and a terminal event both

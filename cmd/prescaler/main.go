@@ -228,7 +228,8 @@ var errStreamDone = errors.New("stream done")
 // typed v1 API client. With -progress it computes the decision id first
 // (POST /v1/scale?fingerprint=1), subscribes to the daemon's SSE event
 // stream, and renders each search milestone through the same
-// printProgress a local search uses — then POSTs for real.
+// printProgress a local search uses — then, once the daemon has
+// accepted the subscription, POSTs for real.
 func runDaemon(ctx context.Context, url string, req *api.ScaleRequest, progress bool, jsonPath string) error {
 	cl := &client.Client{Targets: []string{url}}
 	done := make(chan struct{})
@@ -242,9 +243,10 @@ func runDaemon(ctx context.Context, url string, req *api.ScaleRequest, progress 
 			fmt.Fprintf(os.Stderr, "decision %s already cached on %s\n", id, url)
 		} else {
 			done = make(chan struct{})
+			opened := make(chan struct{})
 			go func() {
 				defer close(done)
-				err := cl.Events(ctx, id, func(event string, data []byte) error {
+				err := cl.Events(ctx, id, func() { close(opened) }, func(event string, data []byte) error {
 					if event == "done" || event == "error" {
 						return errStreamDone
 					}
@@ -258,6 +260,10 @@ func runDaemon(ctx context.Context, url string, req *api.ScaleRequest, progress 
 					fmt.Fprintf(os.Stderr, "prescaler: progress stream: %v\n", err)
 				}
 			}()
+			select {
+			case <-opened:
+			case <-done:
+			}
 		}
 	}
 	d, body, meta, err := cl.Scale(ctx, req)

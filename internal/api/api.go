@@ -253,26 +253,43 @@ func Encode(w io.Writer, v any) error {
 func EncodeDecision(w io.Writer, d *Decision) error { return Encode(w, d) }
 
 // ErrBadRequest marks a request body that failed decoding or schema
-// validation. Every error DecodeScaleRequest returns wraps it, so the
-// HTTP layer can map malformed input to 400 with errors.Is.
+// validation. Every error the Decode* functions return wraps it, so
+// the HTTP layer can map malformed input to 400 with errors.Is.
 var ErrBadRequest = errors.New("api: bad scale request")
 
-// DecodeScaleRequest parses and validates a POST /v1/scale body. An
-// empty schema field is accepted (it defaults to v1); any other
-// mismatch is an error so clients speaking a future schema fail loudly.
-// Unknown fields are rejected so client typos surface immediately.
-func DecodeScaleRequest(r io.Reader) (*ScaleRequest, error) {
+// decodeStrict decodes one JSON value from r into v and nothing else:
+// unknown fields are rejected, and anything but whitespace after the
+// value is too. An empty schema then defaults to v1; any other
+// mismatch is an error, so clients speaking a future schema fail
+// loudly. Every error wraps ErrBadRequest, and an empty body's also
+// wraps io.EOF.
+func decodeStrict(r io.Reader, v any, schema *string) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
+		err = errors.New("trailing data after the JSON value")
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	if *schema == "" {
+		*schema = Schema
+	}
+	if *schema != Schema {
+		return fmt.Errorf("%w: unsupported schema %q (want %q)", ErrBadRequest, *schema, Schema)
+	}
+	return nil
+}
+
+// DecodeScaleRequest parses and validates a POST /v1/scale body: one
+// JSON object with no unknown fields and no trailing data, so client
+// typos and concatenated requests surface immediately. An empty schema
+// field is accepted (it defaults to v1).
+func DecodeScaleRequest(r io.Reader) (*ScaleRequest, error) {
 	var req ScaleRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if req.Schema == "" {
-		req.Schema = Schema
-	}
-	if req.Schema != Schema {
-		return nil, fmt.Errorf("%w: unsupported schema %q (want %q)", ErrBadRequest, req.Schema, Schema)
+	if err := decodeStrict(r, &req, &req.Schema); err != nil {
+		return nil, err
 	}
 	if req.Benchmark == "" {
 		return nil, fmt.Errorf("%w: missing benchmark", ErrBadRequest)

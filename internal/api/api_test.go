@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -176,4 +177,43 @@ func TestDecodeScaleRequest(t *testing.T) {
 	if _, err := api.DecodeScaleRequest(strings.NewReader(`{}`)); err == nil {
 		t.Error("missing benchmark accepted")
 	}
+	// One request per body: a second document or trailing bytes are an
+	// error, not silently ignored. Trailing whitespace is fine.
+	for name, body := range map[string]string{
+		"trailing document": `{"benchmark":"ATAX"} {"benchmark":"GEMM"}`,
+		"trailing garbage":  `{"benchmark":"ATAX"}garbage`,
+	} {
+		if _, err := api.DecodeScaleRequest(strings.NewReader(body)); !errors.Is(err, api.ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
+		}
+	}
+	if _, err := api.DecodeScaleRequest(strings.NewReader("{\"benchmark\":\"ATAX\"}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// FuzzDecodeScaleRequest feeds arbitrary bytes to the /v1/scale
+// decoder: it must never panic, every error must wrap ErrBadRequest,
+// and an accepted request must survive a canonical re-encode unchanged.
+func FuzzDecodeScaleRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := api.DecodeScaleRequest(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, api.ErrBadRequest) {
+				t.Fatalf("error does not wrap ErrBadRequest: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := api.Encode(&buf, req); err != nil {
+			t.Fatal(err)
+		}
+		back, err := api.DecodeScaleRequest(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded request rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(req, back) {
+			t.Fatalf("re-encode changed the request:\n%+v\nvs\n%+v", req, back)
+		}
+	})
 }

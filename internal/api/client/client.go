@@ -355,19 +355,23 @@ func (c *Client) CloseSession(ctx context.Context, id string) error {
 
 // Events subscribes to a decision's SSE progress stream, invoking fn
 // for every event until the stream closes (the terminal "done"/"error"
-// event included), fn returns an error, or ctx is canceled.
-func (c *Client) Events(ctx context.Context, id string, fn func(event string, data []byte) error) error {
-	return c.stream(ctx, "/v1/decisions/"+id+"/events", fn)
+// event included), fn returns an error, or ctx is canceled. opened, if
+// not nil, is called once the daemon has accepted the subscription,
+// before any event. POST the request to watch only then: a node that
+// proxies it reports the answer only to the subscribers it already has.
+func (c *Client) Events(ctx context.Context, id string, opened func(), fn func(event string, data []byte) error) error {
+	return c.stream(ctx, "/v1/decisions/"+id+"/events", opened, fn)
 }
 
 // SessionEvents subscribes to a session's SSE lifecycle stream
 // ("generation", "evaluate", terminal "done").
 func (c *Client) SessionEvents(ctx context.Context, id string, fn func(event string, data []byte) error) error {
-	return c.stream(ctx, "/v1/sessions/"+id+"/events", fn)
+	return c.stream(ctx, "/v1/sessions/"+id+"/events", nil, fn)
 }
 
-// stream consumes one SSE response.
-func (c *Client) stream(ctx context.Context, path string, fn func(event string, data []byte) error) error {
+// stream consumes one SSE response, calling opened (if set) once its
+// headers arrive.
+func (c *Client) stream(ctx context.Context, path string, opened func(), fn func(event string, data []byte) error) error {
 	resp, meta, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
@@ -376,6 +380,9 @@ func (c *Client) stream(ctx context.Context, path string, fn func(event string, 
 	if meta.Status != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		return errorFrom(meta.Status, body)
+	}
+	if opened != nil {
+		opened()
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)

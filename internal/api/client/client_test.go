@@ -153,14 +153,15 @@ func TestEventsSplitFrames(t *testing.T) {
 	type event struct{ name, data string }
 	var got []event
 	c := &Client{Targets: []string{srv.URL}}
-	err := c.Events(context.Background(), "d1", func(name string, data []byte) error {
+	opened := func() { got = append(got, event{"opened", ""}) }
+	err := c.Events(context.Background(), "d1", opened, func(name string, data []byte) error {
 		got = append(got, event{name, string(data)})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []event{{"trial", `{"trial":1}`}, {"trial", `{"trial":2}`}, {"done", `{}`}}
+	want := []event{{"opened", ""}, {"trial", `{"trial":1}`}, {"trial", `{"trial":2}`}, {"done", `{}`}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("events = %q, want %q", got, want)
 	}

@@ -8,7 +8,7 @@ package api
 // with a diff explaining what changed.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -118,19 +118,12 @@ type Generation struct {
 }
 
 // DecodeSessionRequest parses and validates a POST /v1/sessions body
-// with the same strictness as DecodeScaleRequest.
+// with the same strictness as DecodeScaleRequest: no unknown fields, no
+// trailing data.
 func DecodeSessionRequest(r io.Reader) (*SessionRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req SessionRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if req.Schema == "" {
-		req.Schema = Schema
-	}
-	if req.Schema != Schema {
-		return nil, fmt.Errorf("%w: unsupported schema %q (want %q)", ErrBadRequest, req.Schema, Schema)
+	if err := decodeStrict(r, &req, &req.Schema); err != nil {
+		return nil, err
 	}
 	if req.Benchmark == "" {
 		return nil, fmt.Errorf("%w: missing benchmark", ErrBadRequest)
@@ -144,24 +137,16 @@ func DecodeSessionRequest(r io.Reader) (*SessionRequest, error) {
 	return &req, nil
 }
 
-// DecodeEvaluateRequest parses a POST /v1/sessions/{id}/evaluate body.
-// An empty body is accepted and means "same input set, default knobs".
+// DecodeEvaluateRequest parses a POST /v1/sessions/{id}/evaluate body
+// with the same strictness as DecodeScaleRequest. An empty body is
+// accepted and means "same input set, default knobs".
 func DecodeEvaluateRequest(r io.Reader) (*EvaluateRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req EvaluateRequest
-	if err := dec.Decode(&req); err != nil {
-		if err == io.EOF {
-			req = EvaluateRequest{Schema: Schema}
-			return &req, nil
+	if err := decodeStrict(r, &req, &req.Schema); err != nil {
+		if !errors.Is(err, io.EOF) {
+			return nil, err
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if req.Schema == "" {
-		req.Schema = Schema
-	}
-	if req.Schema != Schema {
-		return nil, fmt.Errorf("%w: unsupported schema %q (want %q)", ErrBadRequest, req.Schema, Schema)
+		req = EvaluateRequest{Schema: Schema}
 	}
 	return &req, nil
 }

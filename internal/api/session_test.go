@@ -116,6 +116,8 @@ func TestDecodeSessionRequest(t *testing.T) {
 		"negative drift":    `{"benchmark":"GEMM","drift_threshold":-0.5}`,
 		"future schema":     `{"schema":"prescaler/v2","benchmark":"GEMM"}`,
 		"unknown field":     `{"benchmark":"GEMM","tooq":0.9}`,
+		"trailing document": `{"benchmark":"GEMM"} {"benchmark":"ATAX"}`,
+		"trailing garbage":  `{"benchmark":"GEMM"}garbage`,
 	} {
 		if _, err := api.DecodeSessionRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s accepted", name)
@@ -139,7 +141,13 @@ func TestDecodeEvaluateRequest(t *testing.T) {
 	if req.InputSet != "image" {
 		t.Errorf("unexpected decode: %+v", req)
 	}
-	if _, err := api.DecodeEvaluateRequest(strings.NewReader(`{"schema":"prescaler/v2"}`)); err == nil {
-		t.Error("v2 schema accepted")
+	for name, body := range map[string]string{
+		"future schema":     `{"schema":"prescaler/v2"}`,
+		"trailing document": `{"input_set":"image"} {"input_set":"random"}`,
+		"trailing garbage":  `{"input_set":"image"}garbage`,
+	} {
+		if _, err := api.DecodeEvaluateRequest(strings.NewReader(body)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

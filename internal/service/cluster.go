@@ -155,6 +155,8 @@ func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, 
 		}
 		return proxyFailed, dialAnswered
 	}
+	// Local subscribers to the id read the relayed answer's end.
+	defer s.relayed(id, owner, resp.StatusCode)
 
 	h := w.Header()
 	h.Set("Content-Type", "application/json")

@@ -20,7 +20,7 @@ type ridKey struct{}
 // RequestIDFrom returns the request id threaded through ctx by the
 // service middleware ("" when the request did not pass through it). The
 // id is what X-Request-Id echoes, what every structured log line
-// carries, and what runSearch notes in the decision journal — the one
+// carries, and what runScaled notes in the decision journal — the one
 // string that joins a log line, a journal note, and a client report to
 // the same request.
 func RequestIDFrom(ctx context.Context) string {

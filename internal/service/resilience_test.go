@@ -118,6 +118,44 @@ func TestReplicationWarmsReplicaAndFailsOver(t *testing.T) {
 	}
 }
 
+// A fault-injected decision is not pushed to the replicas: its
+// fingerprint covers the fault spec and retries, which the body does
+// not carry, so every replica would reject the push as a mismatch.
+func TestFaultedDecisionNotWarmed(t *testing.T) {
+	warmed := make(chan string, 8)
+	nodes := startClusterCfg(t, 2, func(i int, cfg *Config) {
+		cfg.Replication = 2
+	})
+	nodes[0].srv.testWarmed = func(id string) { warmed <- id }
+	post := func(body string) string {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, nodes[0].url()+"/v1/scale", strings.NewReader(body))
+		// Forwarded requests are answered locally, so node 0 computes.
+		req.Header.Set(headerForwarded, "test")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), b)
+		}
+		return resp.Header.Get("X-Decision-Id")
+	}
+	post(`{"benchmark":"veccombine","toq":0.9,"faults":"write:0.05","fault_seed":3}`)
+	clean := post(`{"benchmark":"veccombine","toq":0.9}`)
+	if got := <-warmed; got != clean {
+		t.Fatalf("warmed %s first, want only the clean decision %s", got, clean)
+	}
+	if v := nodes[0].obs.Metrics().Counter("service_warm", obs.L("result", "sent")).Value(); v != 1 {
+		t.Errorf("warm pushes sent = %v, want 1 (the clean decision only)", v)
+	}
+	if v := nodes[1].obs.Metrics().Counter("service_warm", obs.L("result", "mismatch")).Value(); v != 0 {
+		t.Errorf("replica rejected %v warm pushes as mismatches", v)
+	}
+}
+
 // A replica that misses routes to the owners ahead of it instead of
 // computing — fleet-wide, one fingerprint still means one search.
 func TestReplicaProxiesMissToPrimary(t *testing.T) {

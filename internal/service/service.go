@@ -81,6 +81,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -164,7 +165,6 @@ type Server struct {
 
 	logger        *slog.Logger
 	start         time.Time
-	hub           *eventHub
 	latency       *obs.Histogram // http_request_seconds, fed by middleware
 	queueWait     *obs.Histogram // service_queue_wait_seconds, slot waits
 	searchSeconds *obs.Histogram // service_search_seconds, drives deadline shedding
@@ -183,15 +183,13 @@ type Server struct {
 	bases  map[string]*core.Framework // per system preset, inspected once
 	caches map[string]*prog.EvalCache // per (system, benchmark) pair
 
-	fmu     sync.Mutex
-	flights map[string]*flight // fingerprint hex -> in-flight search
-
-	cmu     sync.Mutex
-	lru     *list.List               // front = most recent; values are *entry
-	byID    map[string]*list.Element // fingerprint hex -> element
-	hits    int64
-	misses  int64
-	maxSize int
+	// The decision table (decisions.go): one record per decision id.
+	dmu       sync.Mutex
+	decisions map[string]*decision
+	lru       *list.List // stored records, front = most recent
+	maxSize   int
+	hits      atomic.Int64
+	misses    atomic.Int64
 
 	// Session store (see session.go). Lock order is smu before a
 	// session's own mu, never the reverse.
@@ -203,24 +201,14 @@ type Server struct {
 	sessGauge   *obs.Gauge
 	now         func() time.Time // injectable clock for session-TTL tests
 
-	// testSearchStarted, when set, is called by the worker after the
-	// slot is acquired and before the search runs — a deterministic
-	// point for tests to cancel the request context.
+	// testSearchStarted, when set, is called after a search's slot is
+	// acquired and before the search runs — a deterministic point for
+	// tests to cancel the request context.
 	testSearchStarted func(ctx context.Context, bench string)
 	// testWarmed, when set, is called after warmReplicas finishes
 	// pushing a decision — a deterministic point for tests to assert
 	// replica cache state.
 	testWarmed func(id string)
-}
-
-// entry is one cached decision: the canonical response body, the id it
-// is addressable under, and the wall-clock trace of the search that
-// produced it (nil when the decision was replayed from the journal,
-// warmed by a peer, or computed for a session).
-type entry struct {
-	id    string
-	body  []byte
-	trace []byte
 }
 
 // New builds a Server. The worker pool and caches start empty; system
@@ -272,15 +260,13 @@ func New(cfg Config) (*Server, error) {
 		workload:      wl,
 		logger:        cfg.Logger,
 		start:         time.Now(),
-		hub:           newEventHub(),
 		latency:       o.Metrics().Histogram("http_request_seconds", obs.DefaultLatencyBuckets),
 		queueWait:     o.Metrics().Histogram("service_queue_wait_seconds", obs.DefaultLatencyBuckets),
 		searchSeconds: o.Metrics().Histogram("service_search_seconds", obs.DefaultLatencyBuckets),
 		bases:         map[string]*core.Framework{},
 		caches:        map[string]*prog.EvalCache{},
-		flights:       map[string]*flight{},
+		decisions:     map[string]*decision{},
 		lru:           list.New(),
-		byID:          map[string]*list.Element{},
 		maxSize:       size,
 		sessions:      map[string]*session{},
 		sessTTL:       sessTTL,
@@ -344,7 +330,7 @@ func New(cfg Config) (*Server, error) {
 				sessRecs[rec.id] = rec
 				continue
 			}
-			s.store(rec.id, rec.body, nil)
+			s.store(rec.id, rec.body)
 		}
 		for _, id := range sessOrder {
 			s.restoreSession(sessRecs[id])
@@ -402,13 +388,13 @@ func (s *Server) routeFor(id string) string {
 // oldest first so replay rebuilds the same LRU order, followed by one
 // snapshot per open session.
 func (s *Server) persistSnapshot() []persistRecord {
-	s.cmu.Lock()
+	s.dmu.Lock()
 	recs := make([]persistRecord, 0, s.lru.Len())
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		recs = append(recs, persistRecord{id: e.id, body: e.body})
+		rec := el.Value.(*decision)
+		recs = append(recs, persistRecord{id: rec.id, body: rec.body})
 	}
-	s.cmu.Unlock()
+	s.dmu.Unlock()
 	return append(recs, s.sessionSnapshots()...)
 }
 
@@ -536,58 +522,6 @@ func fingerprint(fw *core.Framework, w *prog.Workload, opts scaler.Options, spec
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// cached returns the response body for a fingerprint, refreshing its
-// LRU position.
-func (s *Server) cached(id string) ([]byte, bool) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	el, ok := s.byID[id]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*entry).body, true
-}
-
-// store inserts a decision body and its wall trace, evicting the least
-// recently used entry beyond capacity. Evicted decisions take their SSE
-// stream with them — the history's lifetime matches the decision's.
-func (s *Server) store(id string, body, trace []byte) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if el, ok := s.byID[id]; ok {
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.byID[id] = s.lru.PushFront(&entry{id: id, body: body, trace: trace})
-	if s.journal != nil {
-		s.journal.append(id, body)
-	}
-	for s.lru.Len() > s.maxSize {
-		el := s.lru.Back()
-		s.lru.Remove(el)
-		evicted := el.Value.(*entry).id
-		delete(s.byID, evicted)
-		s.hub.drop(evicted)
-		s.obs.Metrics().Counter("service_cache_evictions").Inc()
-	}
-}
-
-// traceFor returns the wall trace recorded for a cached decision.
-func (s *Server) traceFor(id string) ([]byte, bool) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	el, ok := s.byID[id]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if e.trace == nil {
-		return nil, false
-	}
-	return e.trace, true
-}
-
 // handleScale is POST /v1/scale: fingerprint, serve from cache, proxy
 // to the fingerprint's owner node, coalesce onto an identical in-flight
 // search, or become the leader that runs the one search under admission
@@ -611,9 +545,7 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if body, ok := s.cached(job.id); ok {
-		s.cmu.Lock()
-		s.hits++
-		s.cmu.Unlock()
+		s.hits.Add(1)
 		if s.view != nil && r.Header.Get(headerForwarded) == "" {
 			w.Header().Set(headerClusterRoute, s.routeFor(job.id))
 		}
@@ -661,98 +593,76 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	f, ref, leader := s.flightFor(job.id, ctx)
-	defer ref.leave()
+	rec, leave, leader := s.join(job.id, ctx)
+	defer leave()
 	if !leader {
 		// Single-flight coalescing: an identical search is already
-		// running; subscribe to its result instead of taking a slot.
+		// running; wait for its result instead of taking a slot.
 		m.Counter("service_cache", obs.L("result", "coalesced")).Inc()
-		s.awaitFlight(w, r, f)
+		s.await(w, r, rec)
 		return
 	}
 	m.Counter("service_cache", obs.L("result", "miss")).Inc()
 	// Abandon guard: if this handler unwinds without publishing an
-	// outcome (a panic outside fault.Guard), terminate the flight so
-	// coalesced subscribers get an error instead of hanging. Normal
-	// completion wins — flightDone is first-outcome-takes-all.
-	defer s.flightDone(f, nil, nil, errFlightAbandoned)
+	// outcome (a panic outside fault.Guard), end the search so waiting
+	// requests get an error instead of hanging. Normal completion wins.
+	defer s.finish(rec, nil, nil, errFlightAbandoned)
 
-	rt := s.newReqTelemetry(RequestIDFrom(ctx), job)
+	rt := newReqTelemetry(RequestIDFrom(ctx), job, rec.log)
 
 	// Admission control. A request that cannot meet its declared
 	// deadline — or that finds the queue full — is shed before it costs
 	// anything; a client that disconnects while queued never occupies a
-	// slot. The search itself runs under the flight's context, which
-	// outlives this request as long as coalesced subscribers remain.
+	// slot. The search runs under the record's context, which outlives
+	// this request as long as coalesced requests remain.
 	if se := s.admit.deadlineShed(deadlineMs(r), s.p99Search); se != nil {
-		s.shed(w, m, f, rt, se)
+		s.shed(w, m, rec, se)
 		return
 	}
-	qWall := rt.now()
-	qStart := time.Now()
-	if err := s.admit.Acquire(f.ctx, clientID(r), s.p99Search); err != nil {
+	_, body, err := s.search(rec.ctx, clientID(r), job, nil, rt)
+	if err != nil {
 		var se *shedError
 		if errors.As(err, &se) {
-			s.shed(w, m, f, rt, se)
+			s.shed(w, m, rec, se)
 			return
 		}
-		rt.fail(err)
-		s.flightDone(f, nil, nil, err)
+		s.finish(rec, nil, nil, err)
 		s.writeError(w, err)
 		return
 	}
-	defer s.admit.Release()
-	s.queueWait.Observe(time.Since(qStart).Seconds())
-	rt.queueWaited(qWall)
-	if s.testSearchStarted != nil {
-		s.testSearchStarted(f.ctx, job.w.Name)
-	}
-
-	searchStart := time.Now()
-	body, err := s.runSearch(f.ctx, job, rt)
-	s.searchSeconds.Observe(time.Since(searchStart).Seconds())
-	if err != nil {
-		m.Counter("service_searches", obs.L("result", resultLabel(err))).Inc()
-		rt.fail(err)
-		s.flightDone(f, nil, nil, err)
-		s.writeError(w, err)
-		return
-	}
-	m.Counter("service_searches", obs.L("result", "ok")).Inc()
-	s.cmu.Lock()
-	s.misses++
-	s.cmu.Unlock()
-	s.flightDone(f, body, rt.closeTrace(), nil)
-	rt.done(job.id)
-	if s.view != nil && s.replication > 1 {
-		// Push the fresh decision to the fingerprint's other replicas so
-		// a failover request finds it cached instead of re-searching.
-		// Asynchronous and best-effort; the client never waits on it.
+	s.misses.Add(1)
+	s.finish(rec, body, rt.closeTrace(), nil)
+	// Push the fresh decision to the fingerprint's other replicas so a
+	// failover request finds it cached instead of re-searching.
+	// Asynchronous and best-effort; the client never waits on it. A
+	// faulted request is not pushed: its fingerprint covers the fault
+	// spec, which the body does not carry, so every replica would
+	// reject it.
+	if s.view != nil && s.replication > 1 && job.spec == nil {
 		go s.warmReplicas(job.id, body)
 	}
 	s.writeDecision(w, r, job.id, "miss", body)
 }
 
-// shed rejects a leader request (and with it the whole flight: queued
-// coalesced subscribers receive the same 429, having cost nothing).
-func (s *Server) shed(w http.ResponseWriter, m *obs.Registry, f *flight, rt *reqTelemetry, se *shedError) {
+// shed rejects a leader request (and with it the whole search: queued
+// coalesced requests receive the same 429, having cost nothing).
+func (s *Server) shed(w http.ResponseWriter, m *obs.Registry, rec *decision, se *shedError) {
 	m.Counter("service_shed", obs.L("reason", se.reason)).Inc()
-	rt.fail(se)
-	s.flightDone(f, nil, nil, se)
+	s.finish(rec, nil, nil, se)
 	s.writeError(w, se)
 }
 
-// awaitFlight blocks a coalesced subscriber until the flight's leader
-// publishes the result (fanned out verbatim) or the subscriber's own
-// client disconnects.
-func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, f *flight) {
+// await blocks a coalesced request until the search's leader publishes
+// the result (fanned out verbatim) or the request's own client
+// disconnects.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, rec *decision) {
 	select {
-	case <-f.done:
-		if f.err != nil {
-			s.writeError(w, f.err)
+	case <-rec.done:
+		if rec.err != nil {
+			s.writeError(w, rec.err)
 			return
 		}
-		s.writeDecision(w, r, f.id, "coalesced", f.body)
+		s.writeDecision(w, r, rec.id, "coalesced", rec.body)
 	case <-r.Context().Done():
 		s.writeError(w, ctxCause(r.Context()))
 	}
@@ -787,18 +697,37 @@ func deadlineMs(r *http.Request) int {
 	return ms
 }
 
-// runSearch executes the decision search for a prepared job on a clone
+// search runs one decision search in a worker slot. It is the one
+// path of the scale leader, session create and session re-scale: it
+// acquires a slot in clientKey's fair-queue lane, observes the queue
+// wait, runs the search, releases the slot, and records
+// service_search_seconds and service_searches{result}. A shed or a
+// cancellation while queued returns before any of that is recorded.
+func (s *Server) search(ctx context.Context, clientKey string, job *scaleJob, seed *scaler.Seed, rt *reqTelemetry) (*core.ScaledProgram, []byte, error) {
+	qWall := rt.now()
+	qStart := time.Now()
+	if err := s.admit.Acquire(ctx, clientKey, s.p99Search); err != nil {
+		return nil, nil, err
+	}
+	defer s.admit.Release()
+	s.queueWait.Observe(time.Since(qStart).Seconds())
+	rt.queueWaited(qWall)
+	if s.testSearchStarted != nil {
+		s.testSearchStarted(ctx, job.w.Name)
+	}
+	start := time.Now()
+	sp, body, err := s.runScaled(ctx, job, rt, seed)
+	s.searchSeconds.Observe(time.Since(start).Seconds())
+	s.obs.Metrics().Counter("service_searches", obs.L("result", resultLabel(err))).Inc()
+	return sp, body, err
+}
+
+// runScaled executes the decision search for a prepared job on a clone
 // of the base framework and renders the canonical decision body. The
 // body is a pure function of the search result — no ids, timestamps,
 // or cache state — which keeps it byte-identical to cmd/prescaler
-// -json for the same workload and options.
-func (s *Server) runSearch(ctx context.Context, job *scaleJob, rt *reqTelemetry) ([]byte, error) {
-	_, body, err := s.runScaled(ctx, job, rt, nil)
-	return body, err
-}
-
-// runScaled is runSearch plus the scaled program itself, which the
-// session layer needs to execute batches under the chosen config. A
+// -json for the same workload and options. The scaled program comes
+// back too: the session layer executes batches under its config. A
 // non-nil seed warm-starts the search from a previous generation; the
 // cold path (nil seed) is bit-for-bit the pre-session search.
 func (s *Server) runScaled(ctx context.Context, job *scaleJob, rt *reqTelemetry, seed *scaler.Seed) (*core.ScaledProgram, []byte, error) {
@@ -894,10 +823,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // artifact when it drains on SIGTERM, so a scrape and the shutdown
 // artifact are directly comparable.
 func (s *Server) Health() map[string]any {
-	s.cmu.Lock()
+	s.dmu.Lock()
 	cached := s.lru.Len()
-	hits, misses := s.hits, s.misses
-	s.cmu.Unlock()
+	s.dmu.Unlock()
 	// Per-(system, benchmark) eval-cache entry counts, keyed
 	// "system/benchmark", so load tests can verify cache behavior
 	// without scraping Prometheus.
@@ -916,8 +844,8 @@ func (s *Server) Health() map[string]any {
 		"queue_capacity":     s.admit.maxQ,
 		"decisions":          cached,
 		"decisions_capacity": s.maxSize,
-		"cache_hits":         hits,
-		"cache_miss":         misses,
+		"cache_hits":         s.hits.Load(),
+		"cache_miss":         s.misses.Load(),
 		"eval_caches":        evalCaches,
 		"uptime_seconds":     time.Since(s.start).Seconds(),
 		"request_latency":    latencySummary(s.latency),
@@ -998,9 +926,11 @@ func ctxCause(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// resultLabel classifies a search failure for the metrics counter.
+// resultLabel classifies a search outcome for the metrics counter.
 func resultLabel(err error) string {
 	switch {
+	case err == nil:
+		return "ok"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "canceled"
 	case ocl.IsFault(err):

@@ -82,6 +82,7 @@ type session struct {
 	threshold float64
 	ttl       time.Duration
 	cache     *prog.EvalCache // the server's per-(system, benchmark) cache
+	log       *eventLog       // lifecycle events, served by GET .../events
 
 	set        prog.InputSet
 	generation int
@@ -136,22 +137,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	ctx := r.Context()
-	if err := s.admit.Acquire(ctx, clientID(r), s.p99Search); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	searchStart := time.Now()
-	sp, body, err := s.runScaled(ctx, job, nil, nil)
-	s.admit.Release()
-	s.searchSeconds.Observe(time.Since(searchStart).Seconds())
+	sp, body, err := s.search(r.Context(), clientID(r), job, nil, nil)
 	if err != nil {
-		m.Counter("service_searches", obs.L("result", resultLabel(err))).Inc()
 		s.writeError(w, err)
 		return
 	}
-	m.Counter("service_searches", obs.L("result", "ok")).Inc()
-	s.store(job.id, body, nil)
+	s.store(job.id, body)
 
 	sess, err := s.newSession(req, job, sp, body)
 	if err != nil {
@@ -167,7 +158,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	doc := sess.documentLocked()
 	sess.mu.Unlock()
 	if gen != nil {
-		s.publishSession(sess.id, "generation", gen)
+		sess.log.publish(sseEvent{name: "generation", data: gen})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Decision-Id", job.id)
@@ -202,6 +193,7 @@ func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.Sca
 		threshold: threshold,
 		ttl:       sessionTTL(req.TTLSeconds, s.sessTTL),
 		cache:     job.opts.EvalCache,
+		log:       newEventLog(),
 
 		set:        job.opts.InputSet,
 		generation: 1,
@@ -289,7 +281,7 @@ func (s *Server) handleSessionEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.touch(s.now())
 	if data, merr := json.Marshal(resp); merr == nil {
-		s.publishSession(sess.id, "evaluate", data)
+		sess.log.publish(sseEvent{name: "evaluate", data: data})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	api.Encode(w, resp)
@@ -391,13 +383,7 @@ func (s *Server) rescaleLocked(ctx context.Context, sess *session, set prog.Inpu
 	}
 	job := &scaleJob{fw: sess.baseFw, w: sess.w, opts: opts, spec: sess.spec}
 	seed := &scaler.Seed{Config: sess.cfg, ObjErr: sess.objErr}
-	if err := s.admit.Acquire(ctx, "session/"+sess.id, s.p99Search); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp, body, err := s.runScaled(ctx, job, nil, seed)
-	s.admit.Release()
-	s.searchSeconds.Observe(time.Since(start).Seconds())
+	sp, body, err := s.search(ctx, "session/"+sess.id, job, seed, nil)
 	if err != nil {
 		return err
 	}
@@ -412,7 +398,7 @@ func (s *Server) rescaleLocked(ctx context.Context, sess *session, set prog.Inpu
 	sess.refStats = batch
 	sess.curStats = map[string]*prog.RunningStats{}
 	if data, merr := json.Marshal(sess.generationDocLocked(diff)); merr == nil {
-		s.publishSession(sess.id, "generation", data)
+		sess.log.publish(sseEvent{name: "generation", data: data})
 	}
 	s.journalSessionLocked(sess)
 	return nil
@@ -459,42 +445,12 @@ func generationDiff(w *prog.Workload, old, cur *prog.Config, warm *scaler.WarmRe
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	s.obs.Metrics().Counter("service_requests", obs.L("endpoint", "session_events")).Inc()
 	id := r.PathValue("id")
-	if s.session(id) == nil {
+	sess := s.session(id)
+	if sess == nil {
 		s.writeError(w, &notFoundError{what: "session", name: id})
 		return
 	}
-	st := s.hub.get(id, true)
-	if st == nil {
-		s.writeError(w, fmt.Errorf("event stream capacity exhausted"))
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	history, live, done := st.subscribe()
-	defer st.unsubscribe(live)
-	for _, ev := range history {
-		writeSSE(w, ev)
-	}
-	rc.Flush()
-	if done {
-		return
-	}
-	for {
-		select {
-		case ev := <-live:
-			writeSSE(w, ev)
-			rc.Flush()
-			if ev.terminal() {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveEvents(w, r, sess.log)
 }
 
 // session looks up a live session, lazily reclaiming it when its idle
@@ -538,18 +494,16 @@ func (s *Server) insertSession(sess *session) {
 	s.sessGauge.Set(float64(len(s.sessions)))
 }
 
-// dropSessionLocked removes a session (caller holds smu), closing its
-// event stream so subscribers see a terminal "done" with the reason.
+// dropSessionLocked removes a session (caller holds smu), ending its
+// event log so subscribers see a terminal "done" with the reason.
 func (s *Server) dropSessionLocked(id, why string) {
+	sess := s.sessions[id]
 	delete(s.sessions, id)
 	s.obs.Metrics().Counter("service_session_drops", obs.L("reason", why)).Inc()
 	s.sessGauge.Set(float64(len(s.sessions)))
 	if data, err := json.Marshal(map[string]any{"session": id, "reason": why}); err == nil {
-		if st := s.hub.get(id, false); st != nil {
-			st.publish(sseEvent{name: "done", data: data})
-		}
+		sess.log.publish(sseEvent{name: "done", data: data})
 	}
-	s.hub.drop(id)
 }
 
 // nextSessionID mints the next session id: the prefix plus 12 hex
@@ -560,13 +514,6 @@ func (s *Server) nextSessionID() string {
 	defer s.smu.Unlock()
 	s.sessSeq++
 	return fmt.Sprintf("%s%012x", sessionIDPrefix, s.sessSeq)
-}
-
-// publishSession emits one SSE event on a session's stream.
-func (s *Server) publishSession(id, name string, data []byte) {
-	if st := s.hub.get(id, true); st != nil {
-		st.publish(sseEvent{name: name, data: data})
-	}
 }
 
 // runOnce executes the workload once on the session's private runtime
@@ -830,6 +777,7 @@ func (s *Server) restoreSession(rec persistRecord) {
 		threshold: snap.DriftThreshold,
 		ttl:       ttl,
 		cache:     s.evalCache(snap.System, w.Name),
+		log:       newEventLog(),
 
 		set:        set,
 		generation: snap.Generation,

@@ -347,6 +347,14 @@ func TestSessionDriftRescale(t *testing.T) {
 	if v := o.Metrics().Counter("service_rescale", obs.L("reason", "drift")).Value(); v != 1 {
 		t.Errorf("rescale counter = %v, want 1", v)
 	}
+	// Create and re-scale each took the one search-slot path: both
+	// searches are counted and both queue waits observed.
+	if v := o.Metrics().Counter("service_searches", obs.L("result", "ok")).Value(); v != 2 {
+		t.Errorf("ok-search counter = %v after create + re-scale, want 2", v)
+	}
+	if n := o.Metrics().Histogram("service_queue_wait_seconds", obs.DefaultLatencyBuckets).Count(); n != 2 {
+		t.Errorf("queue-wait observations = %d after create + re-scale, want 2", n)
+	}
 
 	// The new generation is live and warm-searched: the session document
 	// advances, its decision is for the drifted set, and the warm search

@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/api"
@@ -14,7 +12,8 @@ import (
 
 // reqTelemetry bundles the telemetry side channels of one cache-miss
 // search: the wall-clock trace served from GET /v1/decisions/{id}/trace
-// and the SSE progress stream served from GET /v1/decisions/{id}/events.
+// and the progress events of the decision's log, served from
+// GET /v1/decisions/{id}/events.
 // All of it observes the search without influencing it — decision
 // bodies stay byte-identical to the CLI's (pinned by
 // TestTelemetryByteIdentity). A nil *reqTelemetry, which session
@@ -22,16 +21,16 @@ import (
 type reqTelemetry struct {
 	id     string      // request id from the middleware, "" outside it
 	wt     *obs.Tracer // wall clock
-	stream *stream     // nil when the hub is at capacity
+	log    *eventLog   // the decision record's event log
 	req    *obs.Span
 	search *obs.Span
 	last   float64 // wall time the previous trial span ended at
 }
 
-// newReqTelemetry opens the request span and the SSE stream for one
-// cache-miss search.
-func (s *Server) newReqTelemetry(rid string, job *scaleJob) *reqTelemetry {
-	rt := &reqTelemetry{id: rid, wt: obs.NewWallTracer(), stream: s.hub.start(job.id)}
+// newReqTelemetry opens the request span of one cache-miss search that
+// publishes its progress to log.
+func newReqTelemetry(rid string, job *scaleJob, log *eventLog) *reqTelemetry {
+	rt := &reqTelemetry{id: rid, wt: obs.NewWallTracer(), log: log}
 	rt.req = rt.wt.Start("scale "+job.w.Name, "request",
 		obs.A("request_id", rid), obs.A("decision_id", job.id))
 	return rt
@@ -43,14 +42,6 @@ func (rt *reqTelemetry) now() float64 {
 		return 0
 	}
 	return rt.wt.Now()
-}
-
-// publish sends one SSE event to the decision's stream.
-func (rt *reqTelemetry) publish(name string, data []byte) {
-	if rt == nil || rt.stream == nil {
-		return
-	}
-	rt.stream.publish(sseEvent{name: name, data: data})
 }
 
 // queueWaited records the span spent waiting for a worker slot;
@@ -72,9 +63,10 @@ func (rt *reqTelemetry) beginSearch() {
 }
 
 // onProgress is the scaler's Progress hook: each milestone becomes an
-// SSE event, and each executed trial becomes a wall-clock span covering
-// the time since the previous milestone (the hook runs on the search's
-// sequential decision loop, so the spans tile the search without gaps).
+// event in the decision's log, and each executed trial becomes a
+// wall-clock span covering the time since the previous milestone (the
+// hook runs on the search's sequential decision loop, so the spans tile
+// the search without gaps).
 func (rt *reqTelemetry) onProgress(ev scaler.ProgressEvent) {
 	now := rt.wt.Now()
 	switch ev.Kind {
@@ -91,10 +83,8 @@ func (rt *reqTelemetry) onProgress(ev scaler.ProgressEvent) {
 		)
 	}
 	rt.last = now
-	if rt.stream != nil {
-		if data, err := json.Marshal(ev); err == nil {
-			rt.publish(ev.Kind, data)
-		}
+	if data, err := json.Marshal(ev); err == nil {
+		rt.log.publish(sseEvent{name: ev.Kind, data: data})
 	}
 }
 
@@ -111,32 +101,6 @@ func (rt *reqTelemetry) closeTrace() []byte {
 		return nil
 	}
 	return buf.Bytes()
-}
-
-// done publishes the terminal success event. Call after the decision is
-// stored, so a subscriber reacting to "done" can immediately fetch it.
-func (rt *reqTelemetry) done(id string) {
-	if rt == nil {
-		return
-	}
-	data, err := json.Marshal(map[string]any{"decision_id": id, "cached": false})
-	if err != nil {
-		return
-	}
-	rt.publish("done", data)
-}
-
-// fail publishes the terminal error event so subscribers do not hang on
-// a search that will never produce a decision.
-func (rt *reqTelemetry) fail(err error) {
-	if rt == nil {
-		return
-	}
-	data, merr := json.Marshal(map[string]any{"error": err.Error()})
-	if merr != nil {
-		return
-	}
-	rt.publish("error", data)
 }
 
 // handleMetrics is GET /metrics: the shared obs registry in Prometheus
@@ -167,63 +131,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents is GET /v1/decisions/{id}/events: live decision progress
-// as server-sent events. The stream replays its full history first, so
-// subscribing after (or during) the search still yields every trial
-// event, then the terminal "done"/"error" event closes the response.
-// Subscribing before the POST is the supported flow: compute the id
-// with POST /v1/scale?fingerprint=1, subscribe, then POST for real.
+// as server-sent events. The stream replays the decision's log from its
+// first event, so subscribing after (or during) the search still yields
+// every trial event, then the terminal "done"/"error" event closes the
+// response. Subscribing before the POST is the supported flow: compute
+// the id with POST /v1/scale?fingerprint=1, subscribe, then POST for
+// real.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.obs.Metrics().Counter("service_requests", obs.L("endpoint", "events")).Inc()
-	id := r.PathValue("id")
-	st := s.hub.get(id, true)
-	if st == nil {
-		s.writeError(w, fmt.Errorf("event stream capacity exhausted"))
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-
-	history, live, done := st.subscribe()
-	defer st.unsubscribe(live)
-	for _, ev := range history {
-		writeSSE(w, ev)
-	}
-	rc.Flush()
-	if done {
-		return
-	}
-	// A decision cached before this server recorded any events (hub at
-	// capacity during its search, or a raced eviction) would otherwise
-	// hang the subscriber: synthesize the terminal event directly.
-	if len(history) == 0 {
-		if _, ok := s.cached(id); ok {
-			data, _ := json.Marshal(map[string]any{"decision_id": id, "cached": true})
-			writeSSE(w, sseEvent{name: "done", data: data})
-			rc.Flush()
-			return
-		}
-	}
-	for {
-		select {
-		case ev := <-live:
-			writeSSE(w, ev)
-			rc.Flush()
-			if ev.terminal() {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE renders one event in SSE wire framing.
-func writeSSE(w io.Writer, ev sseEvent) {
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
+	rec := s.subscribe(r.PathValue("id"))
+	defer s.unsubscribe(rec)
+	serveEvents(w, r, rec.log)
 }
 
 // latencySummary condenses a latency histogram for /v1/healthz and the

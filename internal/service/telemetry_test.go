@@ -32,17 +32,28 @@ type sseRecord struct {
 // until the terminal one (or the deadline).
 func readSSE(t *testing.T, base, id string) []sseRecord {
 	t.Helper()
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Get(base + "/v1/decisions/" + id + "/events")
+	events, err := streamSSE(base + "/v1/decisions/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return events
+}
+
+// streamSSE reads an events route like readSSE, for goroutines other
+// than the test's own: it returns what went wrong instead of failing
+// the test.
+func streamSSE(url string) ([]sseRecord, error) {
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events status %d", resp.StatusCode)
+		return nil, fmt.Errorf("events status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events Content-Type = %q", ct)
+		return nil, fmt.Errorf("events Content-Type = %q", ct)
 	}
 	var events []sseRecord
 	var cur sseRecord
@@ -54,20 +65,19 @@ func readSSE(t *testing.T, base, id string) []sseRecord {
 			cur = sseRecord{name: strings.TrimPrefix(line, "event: ")}
 		case strings.HasPrefix(line, "data: "):
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &cur.data); err != nil {
-				t.Fatalf("bad SSE data %q: %v", line, err)
+				return nil, fmt.Errorf("bad SSE data %q: %v", line, err)
 			}
 		case line == "":
 			if cur.name != "" {
 				events = append(events, cur)
 				if cur.name == "done" || cur.name == "error" {
-					return events
+					return events, nil
 				}
 				cur = sseRecord{}
 			}
 		}
 	}
-	t.Fatalf("event stream ended without a terminal event: %+v", events)
-	return nil
+	return nil, fmt.Errorf("event stream ended without a terminal event: %+v", events)
 }
 
 // assertProgressStream checks the contract both the live stream and the

@@ -71,7 +71,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 			api.ErrBadRequest, job.id, id))
 		return
 	}
-	s.store(id, body, nil)
+	s.store(id, body)
 	m.Counter("service_warm", obs.L("result", "stored")).Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -290,6 +290,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad param type", "__kernel void f(long n) { }", "unsupported parameter type"},
 		{"missing global", "__kernel void f(float* a) { a[0] = 1.0; }", "must be __global"},
 		{"undeclared", "__kernel void f(__global float* a) { a[0] = x; }", "undeclared identifier"},
+		{"local out of scope", "__kernel void f(__global const float* a, __global float* c) { int i = get_global_id(0); if (i < 5) { float d = a[i]; } c[i] = d + d; }", "undeclared variable"},
 		{"float index", "__kernel void f(__global float* a) { a[1.5] = 1.0; }", "must be int"},
 		{"bad loop", "__kernel void f(__global float* a, int n) { for (int i = 0; i > n; i++) { a[i] = 1.0; } }", "must be < or <="},
 		{"loop var mismatch", "__kernel void f(__global float* a, int n) { for (int i = 0; j < n; i++) { a[i] = 1.0; } }", "must test"},

@@ -328,11 +328,14 @@ func (k *Kernel) BufIndex(name string) int {
 }
 
 // HasIntParam reports whether name is a scalar parameter of k.
-func (k *Kernel) HasIntParam(name string) bool {
-	for _, p := range k.IntParams {
+func (k *Kernel) HasIntParam(name string) bool { return k.intParamIndex(name) >= 0 }
+
+// intParamIndex returns the position of the named scalar parameter, or -1.
+func (k *Kernel) intParamIndex(name string) int {
+	for i, p := range k.IntParams {
 		if p == name {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }

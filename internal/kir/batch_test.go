@@ -18,8 +18,9 @@ import (
 
 // diffKernels builds the kernel shapes the differential tests sweep:
 // accumulator loops, divergent (gid-dependent) trip counts, branches,
-// selects, transcendentals, multi-buffer streaming, and a dyn-tape
-// select.
+// selects, transcendentals, multi-buffer streaming, a dyn-tape select,
+// and the three suite epilogues whose tapes are static only when a
+// launch-constant loop is known to run.
 func diffKernels() map[string]*Kernel {
 	ks := map[string]*Kernel{}
 
@@ -91,6 +92,45 @@ func diffKernels() map[string]*Kernel {
 		Body(
 			LetF("v", Cond(Lt(ItoF(Gid(0)), F(8)), At("A", Gid(0)), At("B", Gid(0)))),
 			Put("C", Gid(0), Add(V("v"), V("v"))),
+		).MustBuild()
+
+	// A bare alpha*acc after an accumulator loop: the mm2_k1 and gesummv
+	// epilogue. The multiply does not fuse into an FMA, so its precision
+	// comes from acc alone.
+	ks["scaledacc"] = NewKernel("scaledacc", 1).In("A").In("B").Out("C").Ints("n").
+		Body(
+			LetF("acc", F(0)),
+			Loop("k", I(0), P("n"),
+				Set("acc", Add(Mul(At("A", Idx2(Gid(0), P("n"), V("k"))), At("B", V("k"))), V("acc"))),
+			),
+			Put("C", Gid(0), Mul(F(1.5), V("acc"))),
+		).MustBuild()
+
+	// acc / n after an accumulator loop: the covar_mean, corr_mean and
+	// corr_std epilogue.
+	ks["meanacc"] = NewKernel("meanacc", 1).In("A").Out("C").Ints("n").
+		Body(
+			LetF("acc", F(0)),
+			Loop("i", I(0), P("n"),
+				Set("acc", Add(At("A", Idx2(V("i"), P("n"), Gid(0))), V("acc"))),
+			),
+			Put("C", Gid(0), Div(V("acc"), ItoF(P("n")))),
+		).MustBuild()
+
+	// An inner loop with launch-constant bounds inside a gid-started
+	// loop, as in covar_mat.
+	ks["innerconst"] = NewKernel("innerconst", 1).In("A").Out("C").Ints("n").
+		Body(
+			Loop("j", Gid(0), P("n"),
+				LetF("acc", F(0)),
+				Loop("i", I(0), P("n"),
+					Set("acc", Add(
+						Mul(At("A", Idx2(V("i"), P("n"), Gid(0))), At("A", Idx2(V("i"), P("n"), V("j")))),
+						V("acc"),
+					)),
+				),
+				Put("C", Idx2(Gid(0), P("n"), V("j")), Div(V("acc"), Sub(ItoF(P("n")), F(1)))),
+			),
 		).MustBuild()
 
 	return ks
@@ -223,12 +263,15 @@ func TestBatchDifferentialKernels(t *testing.T) {
 }
 
 // FuzzBatchVsReference generalizes the sweeps above: it picks a
-// diffKernels shape, a storage and compute precision per buffer (four
-// bits each of prec: storage All[b&3%3], compute override b>>2&3 with 0
-// meaning none), the diffData seed, the problem size n, the strip size
-// (0 = DefaultStrip), and an NDRange overshoot past n that drives
-// gid-indexed accesses out of bounds, then requires the batch engine and
-// the Reference walker to agree.
+// diffKernels shape (in sorted name order), a storage and compute
+// precision per buffer (four bits each of prec: storage All[b&3%3],
+// compute override b>>2&3 with 0 meaning none), the diffData seed, the
+// problem size, the strip size (0 = DefaultStrip), an NDRange overshoot
+// past the size that drives gid-indexed accesses out of bounds, and the
+// int argument (arg mod size+1, so a launch may skip its loops). It
+// requires the batch engine and the Reference walker to agree at that
+// argument and then at the size, on one Program, which then holds tapes
+// for both non-empty masks.
 func FuzzBatchVsReference(f *testing.F) {
 	ks := diffKernels()
 	names := make([]string, 0, len(ks))
@@ -240,7 +283,7 @@ func FuzzBatchVsReference(f *testing.F) {
 	for i, name := range names {
 		progs[i] = MustCompile(ks[name])
 	}
-	f.Fuzz(func(t *testing.T, kernel uint8, prec uint16, seed uint64, n uint8, strip uint16, over uint8) {
+	f.Fuzz(func(t *testing.T, kernel uint8, prec uint16, seed uint64, n uint8, strip uint16, over uint8, arg uint8) {
 		p := progs[int(kernel)%len(progs)]
 		nb := len(p.Kernel.Bufs)
 		size := int(n)%24 + 1
@@ -257,12 +300,14 @@ func FuzzBatchVsReference(f *testing.F) {
 		if p.Kernel.Dims == 2 {
 			global[1] = size
 		}
-		mk := mkEnv(seed, storage, lens, ca, []int64{int64(size)}, global)
-		runBothEngines(t, p, func() *ExecEnv {
-			env := mk()
-			env.Strip = int(strip) % 1025
-			return env
-		})
+		for _, a := range []int64{int64(arg) % int64(size+1), int64(size)} {
+			mk := mkEnv(seed, storage, lens, ca, []int64{a}, global)
+			runBothEngines(t, p, func() *ExecEnv {
+				env := mk()
+				env.Strip = int(strip) % 1025
+				return env
+			})
+		}
 	})
 }
 
@@ -336,16 +381,68 @@ func TestBatchFaultIdentity(t *testing.T) {
 func TestBatchDynTape(t *testing.T) {
 	p := MustCompile(diffKernels()["mixedsel"])
 	ca := []precision.Type{precision.Half, precision.Double, precision.Double}
-	if bp := p.batchFor(ca); bp == nil || !bp.dyn {
+	if bp := p.batchFor(ca, 0); bp == nil || !bp.dyn {
 		t.Fatal("mixed-precision select binding should compile to a dyn tape")
 	}
 	uniform := []precision.Type{precision.Double, precision.Double, precision.Double}
-	if bp := p.batchFor(uniform); bp == nil || bp.dyn {
+	if bp := p.batchFor(uniform, 0); bp == nil || bp.dyn {
 		t.Fatal("uniform binding should compile to a static tape")
 	}
 	runBothEngines(t, p, mkEnv(0,
 		[]precision.Type{precision.Double, precision.Double, precision.Double},
 		[]int{16, 16, 16}, ca, []int64{16}, [2]int{16, 1}))
+}
+
+// TestZeroTripTapes pins the non-empty mask on the three epilogue
+// shapes: a launch whose loops run gets a static tape, and a launch with
+// n = 0, where they run zero times, still gets the conservative dyn
+// tape. Both launches run on one Program and match the reference
+// walker.
+func TestZeroTripTapes(t *testing.T) {
+	const size = 6
+	ks := diffKernels()
+	for _, name := range []string{"scaledacc", "meanacc", "innerconst"} {
+		p := MustCompile(ks[name])
+		nb := len(p.Kernel.Bufs)
+		for _, prec := range precision.All {
+			storage, lens := make([]precision.Type, nb), make([]int, nb)
+			for i := range storage {
+				storage[i], lens[i] = prec, size*size
+			}
+			for _, c := range []struct {
+				n   int64
+				dyn bool
+			}{{size, false}, {0, true}} {
+				runBothEngines(t, p, mkEnv(0, storage, lens, nil, []int64{c.n}, [2]int{size, 1}))
+				if bp := p.batchFor(storage, p.nonEmpty([]int64{c.n})); bp.dyn != c.dyn {
+					t.Errorf("%s at %v, n=%d: dyn tape = %v, want %v", name, prec, c.n, bp.dyn, c.dyn)
+				}
+			}
+		}
+	}
+}
+
+// TestTripBitsCapped pins the 64-bit mask: only the first 64 loops with
+// launch-constant bounds get a bit, so an accumulator loop after 64 others
+// keeps the conservative treatment and its epilogue stays on a dyn tape.
+func TestTripBitsCapped(t *testing.T) {
+	const n = 5
+	var body []Stmt
+	for i := 0; i < 64; i++ {
+		body = append(body, Loop("i", I(0), P("n"), Put("C", Gid(0), ItoF(V("i")))))
+	}
+	body = append(body, LetF("acc", F(0)),
+		Loop("k", I(0), P("n"), Set("acc", Add(At("A", V("k")), V("acc")))),
+		Put("C", Gid(0), Mul(F(1.5), V("acc"))))
+	p := MustCompile(NewKernel("capped", 1).In("A").Out("C").Ints("n").Body(body...).MustBuild())
+	storage := []precision.Type{precision.Single, precision.Single}
+	runBothEngines(t, p, mkEnv(0, storage, []int{n, n}, nil, []int64{n}, [2]int{n, 1}))
+	if mask := p.nonEmpty([]int64{n}); mask != math.MaxUint64 {
+		t.Fatalf("non-empty mask = %#x, want all 64 bits", mask)
+	}
+	if bp := p.batchFor(storage, p.nonEmpty([]int64{n})); !bp.dyn {
+		t.Fatal("the 65th launch-constant loop got a bit: epilogue on a static tape")
+	}
 }
 
 // TestBatchSupportsAccumulators pins the interval-lattice property that
@@ -354,7 +451,7 @@ func TestBatchDynTape(t *testing.T) {
 func TestBatchSupportsAccumulators(t *testing.T) {
 	p := MustCompile(diffKernels()["matmul"])
 	for _, t2 := range precision.All {
-		if p.batchFor([]precision.Type{t2, t2, t2}) == nil {
+		if p.batchFor([]precision.Type{t2, t2, t2}, 0) == nil {
 			t.Fatalf("matmul at %v: accumulator binding not batch-supported", t2)
 		}
 	}

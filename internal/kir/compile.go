@@ -1,6 +1,8 @@
 package kir
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 	"sync"
 
@@ -11,16 +13,20 @@ import (
 // strip) engine: it rebuilds the structured control tree from the
 // lowerer's ctrl records and statically resolves the result precision of
 // every floating-point instruction for one concrete precision binding
-// (the per-buffer compute precisions of a launch). The tree engine
-// tracks precision dynamically per register; the batch engine instead
-// proves at specialization time that every executed float operation has
-// a single possible result precision, so the per-lane inner loops carry
-// no precision bookkeeping at all. Bindings where that proof fails
-// (lane-divergent precision through float selects feeding arithmetic)
-// get a dyn tape instead, which carries the tree engine's dynamic
-// precision per lane. Only a program whose control tree cannot be
-// rebuilt (bytecode the lowerer did not produce) has no specialization;
-// Run rejects it with an error.
+// (the per-buffer compute precisions of a launch) and one non-empty mask
+// (which launch-constant loops run at least once; see Program.nonEmpty).
+// The tree engine tracks precision dynamically per register; the batch
+// engine instead proves at specialization time that every executed float
+// operation has a single possible result precision, so the per-lane
+// inner loops carry no precision bookkeeping at all. The mask is what
+// lets an accumulator that starts as an untyped constant resolve: after
+// a loop known to run, its zero-trip path is not real. Where the proof
+// still fails (lane-divergent precision through float selects feeding
+// arithmetic, or a launch where such a loop runs zero times) the tape is
+// a dyn tape, which carries the tree engine's dynamic precision per
+// lane. Only a program whose control tree cannot be rebuilt (bytecode
+// the lowerer did not produce) has no specialization; Run rejects it
+// with an error.
 
 // bnodeKind classifies batch execution tree nodes.
 type bnodeKind uint8
@@ -55,14 +61,17 @@ type bnode struct {
 	// exit branch (LVN may forward it); the scalar result must then be
 	// broadcast into the column.
 	headLive bool
+	// bit (bLoop only) is the loop's bit in the non-empty mask; 0 when
+	// its bounds are not launch constants.
+	bit uint64
 }
 
 // batchCache holds the lazily-built batch specializations of a Program.
 // The structure tree is binding-independent and built once; the
-// per-binding precision tapes are keyed by the effective compute
-// precision of each buffer argument; bindings without a static
-// resolution get a dyn tape. structOK false (bytecode the lowerer did
-// not produce) means no binding has a tape and Run returns an error.
+// precision tapes are keyed by the launch's non-empty mask and the
+// effective compute precision of each buffer argument; keys without a
+// static resolution get a dyn tape. structOK false (bytecode the lowerer
+// did not produce) means no binding has a tape and Run returns an error.
 type batchCache struct {
 	mu       sync.Mutex
 	built    bool
@@ -82,23 +91,23 @@ type batchProg struct {
 	// means untyped (no rounding, charged as Double at the end), exactly
 	// mirroring the tree engine's dynamic promotion. nil when dyn.
 	prec []precision.Type
-	// dyn marks bindings whose precision dataflow could not be resolved
-	// statically (e.g. an accumulator read after a possibly-zero-trip
-	// loop, or a select between different compute precisions feeding
-	// arithmetic). The executor then tracks precision per lane in
-	// columns — still vectorized, just with the tree engine's dynamic
-	// promotion done lane-wise.
+	// dyn marks keys whose precision dataflow could not be resolved
+	// statically: a select between different compute precisions feeding
+	// arithmetic, or an accumulator read after a launch-constant loop
+	// that runs zero times in this launch. The executor then tracks
+	// precision per lane in columns — still vectorized, just with the
+	// tree engine's dynamic promotion done lane-wise.
 	dyn  bool
 	pool sync.Pool // *batchState
 }
 
 // batchFor returns the batch specialization for the effective compute
 // precisions ca (one entry per buffer argument, storage precision when
-// no in-kernel override applies), or nil when p's control tree cannot
-// be rebuilt.
-func (p *Program) batchFor(ca []precision.Type) *batchProg {
-	var kb [8]byte
-	key := kb[:0]
+// no in-kernel override applies) and the launch's non-empty mask, or nil
+// when p's control tree cannot be rebuilt.
+func (p *Program) batchFor(ca []precision.Type, mask uint64) *batchProg {
+	var kb [24]byte
+	key := binary.LittleEndian.AppendUint64(kb[:0], mask)
 	for _, t := range ca {
 		key = append(key, byte(t))
 	}
@@ -120,7 +129,7 @@ func (p *Program) batchFor(ca []precision.Type) *batchProg {
 		return bp
 	}
 	bp := &batchProg{p: p, nodes: c.nodes, depth: c.depth}
-	if prec, ok := p.inferPrec(ca); ok {
+	if prec, ok := p.inferPrec(c.nodes, ca, mask); ok {
 		bp.prec = prec
 	} else {
 		bp.dyn = true
@@ -185,7 +194,7 @@ func (b *treeBuilder) span(lo, hi int) []bnode {
 				b.ok = false
 				return nil
 			}
-			out = append(out, bnode{kind: bLoop, pc: r.start, body: b.span(r.start+2, r.end-1)})
+			out = append(out, bnode{kind: bLoop, pc: r.start, bit: r.bit, body: b.span(r.start+2, r.end-1)})
 		} else {
 			if b.p.code[r.start].op != opJumpIfZ {
 				b.ok = false
@@ -265,150 +274,121 @@ func minU8(a, b uint8) uint8 {
 	return b
 }
 
+// joinRange is the smallest range covering a and b.
+func joinRange(a, b precRange) precRange {
+	return precRange{minU8(a.lo, b.lo), maxU8(a.hi, b.hi)}
+}
+
+// joinStates joins src into dst register by register and reports
+// whether dst changed.
+func joinStates(dst, src []precRange) bool {
+	changed := false
+	for r := range dst {
+		if j := joinRange(dst[r], src[r]); j != dst[r] {
+			dst[r] = j
+			changed = true
+		}
+	}
+	return changed
+}
+
 // precStep applies one instruction's effect on the float-register
-// precision state and returns the instruction's static result precision
-// (its rounding target and flop bucket) plus whether that precision is
-// statically determined. Instructions that neither round nor count
-// float ops return ok=true unconditionally.
-func precStep(st []precRange, in *inst, ca []precision.Type) (precision.Type, bool) {
+// precision state. For an instruction that rounds or counts float ops it
+// returns the range of its result precision and ok=true; the tape holds
+// a static precision for it only if that range is a single point.
+func precStep(st []precRange, in *inst, ca []precision.Type) (precRange, bool) {
 	switch in.op {
 	case opFConst, opItoF:
 		st[in.dst] = precRange{}
-		return precision.Invalid, true
 	case opFMov:
 		st[in.dst] = st[in.a]
-		return precision.Invalid, true
 	case opFAdd, opFSub, opFMul, opFDiv, opFMin, opFMax:
-		a, b := st[in.a], st[in.b]
-		r := precRange{maxU8(a.lo, b.lo), maxU8(a.hi, b.hi)}
-		st[in.dst] = r
-		return precision.Type(r.hi), r.lo == r.hi
+		st[in.dst] = promoteRange(st[in.a], st[in.b])
+		return st[in.dst], true
 	case opFFMA:
-		a, b, c := st[in.a], st[in.b], st[in.c]
-		r := precRange{maxU8(maxU8(a.lo, b.lo), c.lo), maxU8(maxU8(a.hi, b.hi), c.hi)}
-		st[in.dst] = r
-		return precision.Type(r.hi), r.lo == r.hi
+		st[in.dst] = promoteRange(promoteRange(st[in.a], st[in.b]), st[in.c])
+		return st[in.dst], true
 	case opFNeg, opFAbs, opFSqrt, opFExp, opFLog:
-		r := st[in.a]
-		st[in.dst] = r
-		return precision.Type(r.hi), r.lo == r.hi
+		st[in.dst] = st[in.a]
+		return st[in.dst], true
 	case opLoad:
-		t := ca[in.imm]
-		st[in.dst] = precRange{uint8(t), uint8(t)}
-		return t, true
+		t := uint8(ca[in.imm])
+		st[in.dst] = precRange{t, t}
 	case opSelF:
-		b, c := st[in.b], st[in.c]
 		// The select result's tag is lane-dependent when the branches
 		// differ; that is fine as long as no rounding/counting op
 		// consumes it (stores round at storage precision regardless).
-		st[in.dst] = precRange{minU8(b.lo, c.lo), maxU8(b.hi, c.hi)}
-		return precision.Invalid, true
-	default:
-		return precision.Invalid, true
+		st[in.dst] = joinRange(st[in.b], st[in.c])
 	}
+	return precRange{}, false
 }
 
-// inferPrec runs a forward dataflow fixpoint over the bytecode CFG and
-// resolves every float instruction's result precision for the binding
-// ca. ok=false means some executed operation's precision could differ
-// across lanes, and the binding gets a dyn tape.
-func (p *Program) inferPrec(ca []precision.Type) ([]precision.Type, bool) {
-	bounds := blockBoundaries(p.code)
-	nb := len(bounds) - 1
-	in := make([][]precRange, nb)
-	in[0] = make([]precRange, p.nFReg) // entry: all untyped, like a fresh register file
+// promoteRange is the range of promote2(x, y) for x in a and y in b:
+// the tree engine's promotion of two operands.
+func promoteRange(a, b precRange) precRange {
+	return precRange{maxU8(a.lo, b.lo), maxU8(a.hi, b.hi)}
+}
 
-	work := []int{0}
-	queued := make([]bool, nb)
-	queued[0] = true
-	st := make([]precRange, p.nFReg)
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b] = false
-		copy(st, in[b])
-		lo, hi := bounds[b], bounds[b+1]
-		for pc := lo; pc < hi; pc++ {
-			precStep(st, &p.code[pc], ca)
-		}
-		for _, s := range blockSuccs(p.code, b, bounds) {
-			if in[s] == nil {
-				in[s] = make([]precRange, p.nFReg)
-				copy(in[s], st)
-				if !queued[s] {
-					queued[s] = true
-					work = append(work, s)
+// inferPrec runs the precision dataflow over the structure tree and
+// resolves every float instruction's result precision for the binding
+// ca under the launch's non-empty mask. ok=false means some executed
+// operation's precision could differ across lanes, and the key gets a
+// dyn tape.
+func (p *Program) inferPrec(nodes []bnode, ca []precision.Type, mask uint64) ([]precision.Type, bool) {
+	// res joins each rounding instruction's result range over all its
+	// visits; an instruction never visited keeps the empty range lo > hi.
+	res := make([]precRange, len(p.code))
+	for pc := range res {
+		res[pc] = precRange{lo: math.MaxUint8}
+	}
+	// walk carries the state st through nds. An if joins its two arms. A
+	// loop iterates its body from join(entry, body-out) until nothing
+	// changes; it exits with that join, or with body-out alone when the
+	// mask proves it runs at least once, since then it can only exit
+	// after its body.
+	var walk func(nds []bnode, st []precRange)
+	walk = func(nds []bnode, st []precRange) {
+		for i := range nds {
+			nd := &nds[i]
+			switch nd.kind {
+			case bSeq:
+				for pc := nd.lo; pc < nd.hi; pc++ {
+					if r, ok := precStep(st, &p.code[pc], ca); ok {
+						res[pc] = joinRange(res[pc], r)
+					}
 				}
-				continue
-			}
-			changed := false
-			dst := in[s]
-			for r := range dst {
-				lo := minU8(dst[r].lo, st[r].lo)
-				hi := maxU8(dst[r].hi, st[r].hi)
-				if lo != dst[r].lo || hi != dst[r].hi {
-					dst[r] = precRange{lo, hi}
-					changed = true
+			case bIf:
+				els := append([]precRange(nil), st...)
+				walk(nd.body, st)
+				walk(nd.els, els)
+				joinStates(st, els)
+			case bLoop:
+				head := append([]precRange(nil), st...)
+				for {
+					copy(st, head)
+					walk(nd.body, st)
+					if !joinStates(head, st) {
+						break
+					}
 				}
-			}
-			if changed && !queued[s] {
-				queued[s] = true
-				work = append(work, s)
+				if mask&nd.bit == 0 {
+					copy(st, head)
+				}
 			}
 		}
 	}
+	walk(nodes, make([]precRange, p.nFReg)) // entry: all untyped, like a fresh register file
 
-	// Final pass: record per-pc result precisions and check that every
-	// reachable float operation resolved to a single precision.
 	prec := make([]precision.Type, len(p.code))
-	for b := 0; b < nb; b++ {
-		if in[b] == nil {
-			continue // unreachable: nothing to record
-		}
-		copy(st, in[b])
-		for pc := bounds[b]; pc < bounds[b+1]; pc++ {
-			t, ok := precStep(st, &p.code[pc], ca)
-			if !ok {
-				return nil, false
-			}
-			prec[pc] = t
+	for pc, r := range res {
+		switch {
+		case r.lo < r.hi:
+			return nil, false
+		case r.lo == r.hi:
+			prec[pc] = precision.Type(r.hi)
 		}
 	}
 	return prec, true
-}
-
-// blockSuccs returns the successor block indices of block b.
-func blockSuccs(code []inst, b int, bounds []int) []int {
-	nb := len(bounds) - 1
-	lo, hi := bounds[b], bounds[b+1]
-	if hi <= lo {
-		return nil
-	}
-	blockOf := func(pc int) int {
-		return sort.Search(nb, func(i int) bool { return bounds[i+1] > pc })
-	}
-	last := code[hi-1]
-	switch last.op {
-	case opJump:
-		if int(last.imm) >= len(code) {
-			return nil
-		}
-		return []int{blockOf(int(last.imm))}
-	case opJumpIfZ:
-		succs := make([]int, 0, 2)
-		if int(last.imm) < len(code) {
-			succs = append(succs, blockOf(int(last.imm)))
-		}
-		if b+1 < nb {
-			succs = append(succs, b+1)
-		}
-		return succs
-	default:
-		if b+1 < nb {
-			return []int{b + 1}
-		}
-		return nil
-	}
 }
 
 // markUniform runs a lane-variance dataflow over the structure tree and

@@ -141,9 +141,10 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	if p.reference {
 		return p.runTree(env, computeAs, converts, sizes, gx, gy)
 	}
-	// The batch engine handles every binding of a lowerer-produced
-	// program (lane-divergent precision dataflow runs on a dyn tape).
-	bp := p.batchFor(computeAs)
+	// The batch engine handles every launch of a lowerer-produced
+	// program (lane-divergent precision dataflow and loops that run zero
+	// times run on a dyn tape).
+	bp := p.batchFor(computeAs, p.nonEmpty(env.IntArgs))
 	if bp == nil {
 		return Counts{}, fmt.Errorf("kernel %s: control flow not produced by the lowerer; the batch engine cannot rebuild it", k.Name)
 	}

@@ -271,6 +271,44 @@ func TestVerifyErrors(t *testing.T) {
 			"redeclared",
 		},
 		{
+			// A local ends with its block: item 5 skips the if, so no
+			// instruction would have written d for it.
+			"let read after its if",
+			func() (*Kernel, error) {
+				return NewKernel("k", 1).In("A").Out("C").
+					Body(
+						When(Lt(Gid(0), I(5)), LetF("d", At("A", Gid(0)))),
+						Put("C", Gid(0), Add(V("d"), V("d"))),
+					).Build()
+			},
+			"undeclared variable",
+		},
+		{
+			// A launch with n=0 never runs the body that declares d.
+			"let read after its loop",
+			func() (*Kernel, error) {
+				return NewKernel("k", 1).In("A").Out("C").Ints("n").
+					Body(
+						Loop("k", I(0), P("n"), LetF("d", At("A", V("k")))),
+						Put("C", Gid(0), V("d")),
+					).Build()
+			},
+			"undeclared variable",
+		},
+		{
+			// Names stay unique even once the first d is out of scope.
+			"let redeclares an out-of-scope let",
+			func() (*Kernel, error) {
+				return NewKernel("k", 1).In("A").Out("C").
+					Body(
+						When(Lt(Gid(0), I(5)), LetF("d", At("A", Gid(0)))),
+						LetF("d", F(1)),
+						Put("C", Gid(0), V("d")),
+					).Build()
+			},
+			"redeclared",
+		},
+		{
 			"bad gid dim",
 			func() (*Kernel, error) {
 				return NewKernel("k", 1).Out("b").

@@ -88,7 +88,31 @@ type ctrlRec struct {
 	// Ifs: start is the JumpIfZ over the then-branch; thenEnd is the pc of
 	// the Jump over the else-branch, or -1 when there is no else.
 	thenEnd int
+	// bit (loops only) is the loop's bit in a launch's non-empty mask
+	// (see Program.nonEmpty); 0 when its bounds are not launch constants.
+	bit uint64
 }
+
+// launchConst is a loop bound whose value is fixed for a whole launch:
+// the scalar argument at index param, or the int literal v when param
+// is negative.
+type launchConst struct {
+	v     int64
+	param int
+}
+
+// value returns c for one launch's scalar arguments.
+func (c launchConst) value(args []int64) int64 {
+	if c.param >= 0 {
+		return args[c.param]
+	}
+	return c.v
+}
+
+// tripBounds are the start and end of a loop whose bounds are launch
+// constants. Within one launch such a loop either skips its body at
+// every entry or at none.
+type tripBounds struct{ start, end launchConst }
 
 // Program is a kernel lowered to executable bytecode.
 type Program struct {
@@ -99,6 +123,9 @@ type Program struct {
 	// ctrl lists the structured control constructs in emission order
 	// (inner constructs complete first); see ctrlRec.
 	ctrl []ctrlRec
+	// trips holds the bounds of the first 64 loops whose bounds are
+	// launch constants; loop i owns bit 1<<i of the non-empty mask.
+	trips []tripBounds
 	// batch holds the per-precision-binding vectorized specializations,
 	// built lazily and shared by concurrent trials.
 	batch batchCache
@@ -117,18 +144,38 @@ func Compile(k *Kernel) (*Program, error) {
 	opt := Fold(k)
 	opt = EliminateDeadLets(opt)
 	opt = LICM(opt)
+	p, err := lower(opt)
+	if err != nil {
+		return nil, err
+	}
+	p.optimize()
+	return p, nil
+}
+
+// lower emits the bytecode of a verified kernel.
+func lower(k *Kernel) (*Program, error) {
 	l := &lowerer{
-		k:     opt,
+		k:     k,
 		iVars: map[string]int32{},
 		fVars: map[string]int32{},
 	}
-	l.block(opt.Body)
+	l.block(k.Body)
 	if l.err != nil {
 		return nil, fmt.Errorf("kernel %s: lowering: %w", k.Name, l.err)
 	}
-	p := &Program{Kernel: opt, code: l.code, nIReg: int(l.nextI), nFReg: int(l.nextF), ctrl: l.ctrl}
-	p.optimize()
-	return p, nil
+	return &Program{Kernel: k, code: l.code, nIReg: int(l.nextI), nFReg: int(l.nextF), ctrl: l.ctrl, trips: l.trips}, nil
+}
+
+// nonEmpty evaluates the recorded loop bounds for one launch's scalar
+// arguments: bit i is set when loop i runs its body at least once.
+func (p *Program) nonEmpty(args []int64) uint64 {
+	var mask uint64
+	for i, t := range p.trips {
+		if t.start.value(args) < t.end.value(args) {
+			mask |= 1 << i
+		}
+	}
+	return mask
 }
 
 // MustCompile is Compile that panics on error.
@@ -153,6 +200,32 @@ type lowerer struct {
 	nextI int32
 	nextF int32
 	err   error
+	trips []tripBounds
+}
+
+// launchConstOf returns e as a launch constant when it is an int literal
+// or a scalar argument.
+func (l *lowerer) launchConstOf(e Expr) (launchConst, bool) {
+	switch e := e.(type) {
+	case Int:
+		return launchConst{v: e.V, param: -1}, true
+	case Param:
+		return launchConst{param: l.k.intParamIndex(e.Name)}, true
+	}
+	return launchConst{}, false
+}
+
+// tripBit records loop s's bounds when both are launch constants and
+// returns its bit in the non-empty mask; 0 when they are not, or when 64
+// loops already have a bit.
+func (l *lowerer) tripBit(s For) uint64 {
+	start, ok1 := l.launchConstOf(s.Start)
+	end, ok2 := l.launchConstOf(s.End)
+	if !ok1 || !ok2 || len(l.trips) == 64 {
+		return 0
+	}
+	l.trips = append(l.trips, tripBounds{start, end})
+	return 1 << (len(l.trips) - 1)
 }
 
 func (l *lowerer) fail(format string, args ...any) {
@@ -208,6 +281,7 @@ func (l *lowerer) stmt(s Stmt) {
 		val := l.floatExpr(s.Value)
 		l.emit(inst{op: opStore, imm: int64(bi), a: idx, b: val})
 	case For:
+		bit := l.tripBit(s)
 		start := l.intExpr(s.Start)
 		end := l.intExpr(s.End)
 		loopVar := l.newI()
@@ -224,7 +298,7 @@ func (l *lowerer) stmt(s Stmt) {
 		l.emit(inst{op: opIAddImm, dst: loopVar, a: loopVar, imm: 1})
 		back := l.emit(inst{op: opJump, imm: int64(head)})
 		l.code[exitJump].imm = int64(len(l.code))
-		l.ctrl = append(l.ctrl, ctrlRec{loop: true, start: head, end: back + 1, thenEnd: -1})
+		l.ctrl = append(l.ctrl, ctrlRec{loop: true, start: head, end: back + 1, thenEnd: -1, bit: bit})
 		delete(l.iVars, s.Var)
 	case If:
 		cond := l.boolExpr(s.Cond)
@@ -254,14 +328,7 @@ func (l *lowerer) intExpr(e Expr) int32 {
 		return dst
 	case Param:
 		dst := l.newI()
-		idx := -1
-		for i, p := range l.k.IntParams {
-			if p == e.Name {
-				idx = i
-				break
-			}
-		}
-		l.emit(inst{op: opIParam, dst: dst, imm: int64(idx)})
+		l.emit(inst{op: opIParam, dst: dst, imm: int64(l.k.intParamIndex(e.Name))})
 		return dst
 	case GID:
 		dst := l.newI()

@@ -1,7 +1,5 @@
 package kir
 
-import "fmt"
-
 // This file implements local value numbering (LVN) over the lowered
 // bytecode: within each basic block, pure instructions that recompute an
 // already-available value are replaced by register moves (which the
@@ -248,16 +246,5 @@ func CompileUnoptimized(k *Kernel) (*Program, error) {
 	if err := Verify(k); err != nil {
 		return nil, err
 	}
-	opt := Fold(k)
-	opt = EliminateDeadLets(opt)
-	l := &lowerer{
-		k:     opt,
-		iVars: map[string]int32{},
-		fVars: map[string]int32{},
-	}
-	l.block(opt.Body)
-	if l.err != nil {
-		return nil, fmt.Errorf("kernel %s: lowering: %w", k.Name, l.err)
-	}
-	return &Program{Kernel: opt, code: l.code, nIReg: int(l.nextI), nFReg: int(l.nextF), ctrl: l.ctrl}, nil
+	return lower(EliminateDeadLets(Fold(k)))
 }

@@ -8,10 +8,14 @@ import (
 // Verify type-checks a kernel: every referenced name must resolve, every
 // operator must receive operands of the proper kind, indices must be int,
 // stored values float, conditions bool, loop variables fresh ints, and
-// buffer accesses must respect the declared Access. It returns the first
-// error found, prefixed with the kernel name.
+// buffer accesses must respect the declared Access. Locals are
+// block-scoped: a Let is visible from its statement to the end of the
+// block that declares it, a loop variable inside its loop's body. Names
+// stay unique all the same: a Let or loop variable may not reuse the
+// name of any earlier Let in the kernel, in scope or not. It returns the
+// first error found, prefixed with the kernel name.
 func Verify(k *Kernel) error {
-	v := &verifier{k: k, vars: map[string]Kind{}}
+	v := &verifier{k: k, vars: map[string]Kind{}, lets: map[string]bool{}}
 	if err := v.kernel(); err != nil {
 		return fmt.Errorf("kernel %s: %w", k.Name, err)
 	}
@@ -20,7 +24,8 @@ func Verify(k *Kernel) error {
 
 type verifier struct {
 	k    *Kernel
-	vars map[string]Kind
+	vars map[string]Kind // locals in scope
+	lets map[string]bool // every Let name declared so far
 }
 
 func (v *verifier) kernel() error {
@@ -56,13 +61,17 @@ func (v *verifier) kernel() error {
 }
 
 func (v *verifier) block(stmts []Stmt) error {
-	// Locals declared in a block stay visible for the rest of the kernel
-	// body at the same or deeper nesting, matching the flat scoping the
-	// lowering pass implements. Shadowing is rejected.
+	var declared []string
 	for _, s := range stmts {
 		if err := v.stmt(s); err != nil {
 			return err
 		}
+		if l, ok := s.(Let); ok {
+			declared = append(declared, l.Name)
+		}
+	}
+	for _, name := range declared {
+		delete(v.vars, name)
 	}
 	return nil
 }
@@ -73,7 +82,7 @@ func (v *verifier) stmt(s Stmt) error {
 		if s.Name == "" {
 			return errors.New("let: empty name")
 		}
-		if _, exists := v.vars[s.Name]; exists {
+		if _, exists := v.vars[s.Name]; exists || v.lets[s.Name] {
 			return fmt.Errorf("let %q: redeclared", s.Name)
 		}
 		if v.k.BufIndex(s.Name) >= 0 || v.k.HasIntParam(s.Name) {
@@ -90,6 +99,7 @@ func (v *verifier) stmt(s Stmt) error {
 			return fmt.Errorf("let %q: init is %v, want %v", s.Name, got, s.Kind)
 		}
 		v.vars[s.Name] = s.Kind
+		v.lets[s.Name] = true
 		return nil
 	case Assign:
 		kind, ok := v.vars[s.Name]
@@ -131,7 +141,7 @@ func (v *verifier) stmt(s Stmt) error {
 		if s.Var == "" {
 			return errors.New("for: empty loop variable")
 		}
-		if _, exists := v.vars[s.Var]; exists {
+		if _, exists := v.vars[s.Var]; exists || v.lets[s.Var] {
 			return fmt.Errorf("for %q: loop variable redeclared", s.Var)
 		}
 		if v.k.BufIndex(s.Var) >= 0 || v.k.HasIntParam(s.Var) {

@@ -34,13 +34,19 @@ type interpBenchSpec struct {
 
 // interpBenchSpecs covers the kernel shapes that stress distinct
 // interpreter paths: gemm (uniform inner loop, FMA-heavy), conv2d
-// (straight-line 2D stencil), atax_k1 (1D row reduction), and corr_mat
-// (gid-dependent loop bound — divergent lanes).
+// (straight-line 2D stencil), atax_k1 (1D row reduction), corr_mat
+// (gid-dependent loop bound — divergent lanes), and the three kernels
+// whose tapes are static only because their accumulator loops are known
+// to run: mm2_k1 (bare alpha*acc epilogue), covar_mat (launch-constant
+// inner loop under a divergent one) and gesummv (two accumulators).
 func interpBenchSpecs() []interpBenchSpec {
 	gemm := polybench.Gemm(104)
 	conv := polybench.TwoDConv(256, 256)
 	atax := polybench.Atax(512, 512)
 	corr := polybench.Corr(128, 128)
+	mm2 := polybench.TwoMM(128)
+	covar := polybench.Covar(128, 128)
+	gesummv := polybench.Gesummv(1024)
 	return []interpBenchSpec{
 		{"gemm", gemm, "gemm", []string{"A", "B", "C"}, [2]int{104, 104},
 			[]int64{104, 104, 104}},
@@ -50,6 +56,12 @@ func interpBenchSpecs() []interpBenchSpec {
 			[]int64{512, 512}},
 		{"corr_mat", corr, "corr_mat", []string{"data", "symmat"}, [2]int{128, 1},
 			[]int64{128, 128}},
+		{"mm2_k1", mm2, "mm2_k1", []string{"A", "B", "tmp"}, [2]int{128, 128},
+			[]int64{128, 128, 128}},
+		{"covar_mat", covar, "covar_mat", []string{"data", "symmat"}, [2]int{128, 1},
+			[]int64{128, 128}},
+		{"gesummv", gesummv, "gesummv", []string{"A", "B", "x", "y"}, [2]int{1024, 1},
+			[]int64{1024}},
 	}
 }
 

@@ -205,11 +205,37 @@ func (h Bits) Float64() float64 {
 }
 
 // Round rounds a float64 to the nearest representable binary16 value and
-// returns it as a float64. It is the fundamental operation used by the
-// kernel interpreter to model half-precision arithmetic: compute in
-// float64, then round the result through binary16.
+// returns it as a float64, bit-exact with FromFloat64(f).Float64(). It is
+// the fundamental operation used by the kernel interpreter to model
+// half-precision arithmetic: compute in float64, then round the result
+// through binary16. It rounds in the float64 bits directly, without the
+// detour through Bits.
 func Round(f float64) float64 {
-	return FromFloat64(f).Float64()
+	const (
+		signBit  = 1 << 63
+		infBits  = 0x7ff0000000000000
+		nanBits  = 0x7ff8000000000000 // the quiet NaN Bits.Float64 returns
+		overflow = 0x40effe0000000000 // 65520, the tie above MaxValue: rounds to even, which is infinity
+		normal   = 0x3f10000000000000 // MinNormal
+		drop     = 52 - mantBits      // float64 mantissa bits below a half's
+		// Adding shift to a magnitude below MinNormal rounds it to a
+		// multiple of 2^-24, the half subnormal spacing (float64's ulp in
+		// [2^28, 2^29)), ties to even; subtracting it again is exact.
+		shift = 1.5 * (1 << 28)
+	)
+	b := math.Float64bits(f)
+	s, a := b&signBit, b&^signBit
+	switch {
+	case a > infBits:
+		return math.Float64frombits(s | nanBits)
+	case a >= overflow:
+		return math.Float64frombits(s | infBits)
+	case a >= normal:
+		a += 1<<(drop-1) - 1 + a>>drop&1
+		return math.Float64frombits(s | a&^(1<<drop-1))
+	}
+	r := math.Float64frombits(a) + shift - shift
+	return math.Float64frombits(s | math.Float64bits(r))
 }
 
 // FromFloat64Slice converts src into dst element-wise with
@@ -244,7 +270,7 @@ func RoundSlice(dst, src []float64) {
 		panic("fp16: RoundSlice length mismatch")
 	}
 	for i, v := range src {
-		dst[i] = FromFloat64(v).Float64()
+		dst[i] = Round(v)
 	}
 }
 

@@ -154,11 +154,11 @@ func TestExhaustiveFloat32Float64Agree(t *testing.T) {
 }
 
 // TestExhaustiveMidpointOracle checks double->half and single->half
-// rounding against an oracle built from the half grid alone. For every
-// pair of consecutive finite halves a < b of either sign (the last pair
-// being 65504 and 65536, which is out of range and rounds to infinity),
-// one ULP below their exact midpoint must round to a, one ULP above to
-// b, and the midpoint itself to whichever has the even pattern.
+// rounding, and Round, against an oracle built from the half grid alone.
+// For every pair of consecutive finite halves a < b of either sign (the
+// last pair being 65504 and 65536, which is out of range and rounds to
+// infinity), one ULP below their exact midpoint must round to a, one ULP
+// above to b, and the midpoint itself to whichever has the even pattern.
 func TestExhaustiveMidpointOracle(t *testing.T) {
 	// value is the magnitude of half pattern i, read from its fields.
 	value := func(i int) float64 {
@@ -196,9 +196,52 @@ func TestExhaustiveMidpointOracle(t *testing.T) {
 				if got := FromFloat32(float32(s) * c.f32); got != sign|c.want {
 					t.Fatalf("FromFloat32(%g) = %#04x, want %#04x", float32(s)*c.f32, uint16(got), uint16(sign|c.want))
 				}
+				if got, want := Round(s*c.f64), (sign | c.want).Float64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Round(%g) = %g, want %g", s*c.f64, got, want)
+				}
 			}
 		}
 	}
+}
+
+// TestRoundMatchesBits compares Round, which rounds in the float64
+// bits, with the round trip through Bits on the values where the two
+// could part: signed zeros and infinities, NaNs with payloads, the
+// overflow boundary, both sides of MinNormal, the bottom of the
+// subnormal range and float64 subnormals.
+func TestRoundMatchesBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{
+		0, negZero, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff4000000000abc),
+		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7fffffffffffffff),
+		65504, math.Nextafter(65520, 0), 65520, math.Nextafter(65520, math.Inf(1)), 65536,
+		math.Nextafter(MinNormal, 0), MinNormal, math.Nextafter(MinNormal, 1),
+		SmallestSubnormal, math.Nextafter(SmallestSubnormal, 0),
+		math.Nextafter(SmallestSubnormal/2, 0), SmallestSubnormal / 2, math.Nextafter(SmallestSubnormal/2, 1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), 0x1p-1022,
+	}
+	for _, v := range vals {
+		for _, x := range []float64{v, -v} {
+			got, want := Round(x), FromFloat64(x).Float64()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Round(%g [%#016x]) = %#016x, want %#016x",
+					x, math.Float64bits(x), math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// FuzzRound requires Round to match the round trip through Bits bit for
+// bit on arbitrary float64 bit patterns.
+func FuzzRound(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b uint64) {
+		x := math.Float64frombits(b)
+		got, want := Round(x), FromFloat64(x).Float64()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Round(%#016x) = %#016x, want %#016x", b, math.Float64bits(got), math.Float64bits(want))
+		}
+	})
 }
 
 func TestFromFloat32MatchesFromFloat64(t *testing.T) {

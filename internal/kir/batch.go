@@ -45,12 +45,9 @@ type laneFault struct {
 // tracking. States are pooled on the batchProg so steady-state execution
 // allocates nothing per work item.
 type batchState struct {
-	strip int
-	icols [][]int64
-	fcols [][]float64
-	// pcols holds per-lane dynamic precision tags for each float
-	// register; allocated only for dyn tapes (see batchProg.dyn).
-	pcols      [][]uint8
+	strip      int
+	icols      [][]int64
+	fcols      [][]float64
 	gidc       [2][]int64
 	ident      []int32   // identity lane list 0..strip-1
 	scratch    [][]int32 // lane-list stack for nested loops/ifs
@@ -72,17 +69,16 @@ func newBatchState(bp *batchProg, strip int) *batchState {
 	}
 	st.gidc[0] = islab[p.nIReg*strip : (p.nIReg+1)*strip]
 	st.gidc[1] = islab[(p.nIReg+1)*strip : (p.nIReg+2)*strip]
+	// A gid register is the gid column itself (see seq).
+	for _, in := range p.code {
+		if in.op == opGID {
+			st.icols[in.dst] = st.gidc[in.imm]
+		}
+	}
 	fslab := make([]float64, p.nFReg*strip)
 	st.fcols = make([][]float64, p.nFReg)
 	for i := range st.fcols {
 		st.fcols[i] = fslab[i*strip : (i+1)*strip]
-	}
-	if bp.dyn {
-		pslab := make([]uint8, p.nFReg*strip)
-		st.pcols = make([][]uint8, p.nFReg)
-		for i := range st.pcols {
-			st.pcols[i] = pslab[i*strip : (i+1)*strip]
-		}
 	}
 	st.ident = make([]int32, strip)
 	for i := range st.ident {
@@ -172,6 +168,16 @@ func (bp *batchProg) run(env *ExecEnv, computeAs []precision.Type, converts []bo
 		strip = DefaultStrip
 	}
 	st := bp.getState(strip)
+	// A scalar argument register holds the same value in every lane for
+	// the whole launch (see seq): fill it once here.
+	for _, in := range bp.p.code {
+		if in.op == opIParam {
+			col, v := st.icols[in.dst], env.IntArgs[in.imm]
+			for i := range col {
+				col[i] = v
+			}
+		}
+	}
 	r := &batchRun{bp: bp, st: st, env: env, computeAs: computeAs, converts: converts, sizes: sizes}
 	total := gx * gy
 	for base := 0; base < total; base += strip {
@@ -180,7 +186,7 @@ func (bp *batchProg) run(env *ExecEnv, computeAs []precision.Type, converts []bo
 			n = total - base
 		}
 		st.initStrip(base, n, gx)
-		r.exec(bp.nodes, st.ident[:n], true)
+		r.exec(bp.nodes, st.ident[:n])
 		if st.anyDead {
 			// The state's lane lists and dead flags are tainted; drop it
 			// instead of pooling.
@@ -193,12 +199,10 @@ func (bp *batchProg) run(env *ExecEnv, computeAs []precision.Type, converts []bo
 	return gatherCounts(&r.flops, r.intOps, r.convOps, r.loadB, r.storeB, total), nil
 }
 
-// exec runs a node list over the active lanes, returning the surviving
-// (compacted) lane list and whether it is still dense. A lane list is
-// dense when it is exactly 0..n-1: the instruction stepper then runs
-// contiguous column loops (bounds-check-eliminated, cache-linear)
-// instead of indirecting through the lane list.
-func (r *batchRun) exec(nodes []bnode, lanes []int32, dense bool) ([]int32, bool) {
+// exec runs a node list over the active lanes and returns the surviving
+// (compacted) lane list. Lane lists are always ascending: every filter
+// keeps lane order.
+func (r *batchRun) exec(nodes []bnode, lanes []int32) []int32 {
 	for i := range nodes {
 		if len(lanes) == 0 {
 			break
@@ -206,61 +210,66 @@ func (r *batchRun) exec(nodes []bnode, lanes []int32, dense bool) ([]int32, bool
 		nd := &nodes[i]
 		switch nd.kind {
 		case bSeq:
-			lanes, dense = r.seq(nd, lanes, dense)
+			lanes = r.seq(nd, lanes)
 		case bLoop:
-			r.loop(nd, lanes, dense)
-			if r.st.anyDead {
-				n := len(lanes)
-				lanes = r.alive(lanes)
-				dense = dense && len(lanes) == n
-			}
+			r.loop(nd, lanes)
 		case bIf:
-			r.branch(nd, lanes, dense)
-			if r.st.anyDead {
-				n := len(lanes)
-				lanes = r.alive(lanes)
-				dense = dense && len(lanes) == n
-			}
+			r.branch(nd, lanes)
+		}
+		if nd.kind != bSeq && r.st.anyDead {
+			lanes = r.alive(lanes)
 		}
 	}
-	return lanes, dense
+	return lanes
+}
+
+// laneRun reports whether the non-empty ascending lane list is one
+// contiguous run lanes[0]..lanes[0]+n-1, and returns its first lane. A
+// run executes on stepDense's contiguous column loops
+// (bounds-check-eliminated, cache-linear) instead of indirecting through
+// the lane list.
+func laneRun(lanes []int32) (lo int, dense bool) {
+	n := len(lanes)
+	return int(lanes[0]), int(lanes[n-1]-lanes[0]) == n-1
 }
 
 // seq executes a straight-line instruction span, compacting the lane
-// list whenever an instruction faulted some lanes.
-func (r *batchRun) seq(nd *bnode, lanes []int32, dense bool) ([]int32, bool) {
+// list whenever an instruction faulted some lanes. IParam and GID are
+// skipped: the lowerer gives each a fresh temp that no other
+// instruction writes (variables are written through IMov, and LVN only
+// rewrites an instruction in place to IMov or Nop), so run fills an
+// IParam column once per launch and newBatchState aliases a GID
+// register to its gid column.
+func (r *batchRun) seq(nd *bnode, lanes []int32) []int32 {
 	code := r.bp.p.code
-	dyn := r.bp.dyn
+	lo, dense := laneRun(lanes)
 	for pc := nd.lo; pc < nd.hi; pc++ {
 		in := &code[pc]
-		switch {
-		case dyn:
-			r.stepDyn(in, pc, lanes)
-		case dense && r.stepDense(in, pc, len(lanes)):
-			// handled on the contiguous fast path
-		default:
+		if in.op == opIParam || in.op == opGID {
+			continue
+		}
+		if !dense || !r.stepDense(in, pc, lo, len(lanes)) {
 			r.step(in, pc, lanes)
 		}
 		if r.st.pendingDead {
 			r.st.pendingDead = false
-			n := len(lanes)
 			lanes = r.alive(lanes)
-			dense = dense && len(lanes) == n
 			if len(lanes) == 0 {
 				break
 			}
+			lo, dense = laneRun(lanes)
 		}
 	}
-	return lanes, dense
+	return lanes
 }
 
-// loop runs a counted loop. Uniform loops (head compare proven
-// lane-invariant by markUniform) evaluate the condition once per strip:
-// the whole lane list stays or exits together, with no per-round filter
-// and no loss of density. Divergent loops re-evaluate the head over the
+// loop runs a counted loop. Uniform loops (head compare proven uniform
+// among the active lanes by markUniform) evaluate the condition once
+// per round: the whole lane list stays or exits together, with no
+// per-round filter. Divergent loops re-evaluate the head over the
 // remaining lanes and keep the lanes whose condition holds, so
 // gid-dependent trip counts retire lanes individually.
-func (r *batchRun) loop(nd *bnode, lanes []int32, dense bool) {
+func (r *batchRun) loop(nd *bnode, lanes []int32) {
 	st := r.st
 	head := &r.bp.p.code[nd.pc]
 	s := st.pushLanes()
@@ -284,7 +293,7 @@ func (r *batchRun) loop(nd *bnode, lanes []int32, dense bool) {
 			if !taken {
 				break
 			}
-			cur, dense = r.exec(nd.body, cur, dense)
+			cur = r.exec(nd.body, cur)
 		}
 		st.popLanes()
 		return
@@ -299,19 +308,18 @@ func (r *batchRun) loop(nd *bnode, lanes []int32, dense bool) {
 				m++
 			}
 		}
-		dense = dense && m == len(cur)
 		cur = cur[:m]
 		if m == 0 {
 			break
 		}
-		cur, dense = r.exec(nd.body, cur, dense)
+		cur = r.exec(nd.body, cur)
 	}
 	st.popLanes()
 }
 
 // branch partitions lanes by the if condition and runs each side over
-// its partition. A side that receives every lane inherits density.
-func (r *batchRun) branch(nd *bnode, lanes []int32, dense bool) {
+// its partition.
+func (r *batchRun) branch(nd *bnode, lanes []int32) {
 	st := r.st
 	cond := st.icols[r.bp.p.code[nd.pc].a]
 	tl := st.pushLanes()[:0]
@@ -324,10 +332,10 @@ func (r *batchRun) branch(nd *bnode, lanes []int32, dense bool) {
 		}
 	}
 	if len(tl) > 0 {
-		r.exec(nd.body, tl, dense && len(tl) == len(lanes))
+		r.exec(nd.body, tl)
 	}
 	if len(el) > 0 && nd.els != nil {
-		r.exec(nd.els, el, dense && len(el) == len(lanes))
+		r.exec(nd.els, el)
 	}
 	st.popLanes()
 	st.popLanes()
@@ -439,25 +447,23 @@ func cmpFloatLanes(dst []int64, a, b []float64, lanes []int32, op CmpOp) {
 	}
 }
 
-// roundDense is roundLanes over the dense lane prefix [0, n).
-func roundDense(col []float64, n int, p precision.Type) {
+// roundDense is roundLanes over a run, col pre-cut to it.
+func roundDense(col []float64, p precision.Type) {
 	switch p {
 	case precision.Half:
-		col = col[:n]
 		for i, v := range col {
 			col[i] = fp16.Round(v)
 		}
 	case precision.Single:
-		col = col[:n]
 		for i, v := range col {
 			col[i] = float64(float32(v))
 		}
 	}
 }
 
-// cmpIntDense is cmpIntLanes over the dense lane prefix [0, n).
-func cmpIntDense(dst, a, b []int64, n int, op CmpOp) {
-	dst, a, b = dst[:n], a[:n], b[:n]
+// cmpIntDense is cmpIntLanes over a run, every column pre-cut to it.
+func cmpIntDense(dst, a, b []int64, op CmpOp) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	switch op {
 	case CmpLT:
 		for i := range dst {
@@ -486,9 +492,9 @@ func cmpIntDense(dst, a, b []int64, n int, op CmpOp) {
 	}
 }
 
-// cmpFloatDense is cmpFloatLanes over the dense lane prefix [0, n).
-func cmpFloatDense(dst []int64, a, b []float64, n int, op CmpOp) {
-	dst, a, b = dst[:n], a[:n], b[:n]
+// cmpFloatDense is cmpFloatLanes over a run, every column pre-cut to it.
+func cmpFloatDense(dst []int64, a, b []float64, op CmpOp) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	switch op {
 	case CmpLT:
 		for i := range dst {
@@ -517,51 +523,52 @@ func cmpFloatDense(dst []int64, a, b []float64, n int, op CmpOp) {
 	}
 }
 
-// stepDense executes one instruction over the dense lane prefix [0, n)
+// stepDense executes one instruction over the run of lanes [lo, lo+n)
 // with contiguous column slices: the compiler eliminates the bounds
-// checks (all slices are pre-cut to length n) and the indirection through
+// checks (all slices are pre-cut to the run) and the indirection through
 // the lane list disappears. Semantics, rounding, and charging are
 // identical to step. Returns false for opcodes it does not specialize
 // (the caller then runs the generic indirect path, which is always
-// correct for dense lists too).
-func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
+// correct for runs too).
+func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 	st := r.st
+	hi := lo + n
 	nf := float64(n)
 	switch in.op {
 	case opIConst:
-		dst, v := st.icols[in.dst][:n], in.imm
+		dst, v := st.icols[in.dst][lo:hi], in.imm
 		for i := range dst {
 			dst[i] = v
 		}
 	case opIMov:
-		dst, a := st.icols[in.dst][:n], st.icols[in.a][:n]
+		dst, a := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi]
 		copy(dst, a)
 	case opIAdd:
-		dst, a, b := st.icols[in.dst][:n], st.icols[in.a][:n], st.icols[in.b][:n]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] + b[i]
 		}
 		r.intOps += nf
 	case opIAddImm:
-		dst, a, v := st.icols[in.dst][:n], st.icols[in.a][:n], in.imm
+		dst, a, v := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], in.imm
 		for i := range dst {
 			dst[i] = a[i] + v
 		}
 		r.intOps += nf
 	case opISub:
-		dst, a, b := st.icols[in.dst][:n], st.icols[in.a][:n], st.icols[in.b][:n]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] - b[i]
 		}
 		r.intOps += nf
 	case opIMul:
-		dst, a, b := st.icols[in.dst][:n], st.icols[in.a][:n], st.icols[in.b][:n]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] * b[i]
 		}
 		r.intOps += nf
 	case opIMin:
-		dst, a, b := st.icols[in.dst][:n], st.icols[in.a][:n], st.icols[in.b][:n]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
 		for i := range dst {
 			v, w := a[i], b[i]
 			if w < v {
@@ -571,7 +578,7 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		}
 		r.intOps += nf
 	case opIMax:
-		dst, a, b := st.icols[in.dst][:n], st.icols[in.a][:n], st.icols[in.b][:n]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
 		for i := range dst {
 			v, w := a[i], b[i]
 			if w > v {
@@ -581,13 +588,13 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		}
 		r.intOps += nf
 	case opINeg:
-		dst, a := st.icols[in.dst][:n], st.icols[in.a][:n]
+		dst, a := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi]
 		for i := range dst {
 			dst[i] = -a[i]
 		}
 		r.intOps += nf
 	case opIAbs:
-		dst, a := st.icols[in.dst][:n], st.icols[in.a][:n]
+		dst, a := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi]
 		for i := range dst {
 			v := a[i]
 			if v < 0 {
@@ -596,63 +603,56 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 			dst[i] = v
 		}
 		r.intOps += nf
-	case opIParam:
-		dst, v := st.icols[in.dst][:n], r.env.IntArgs[in.imm]
-		for i := range dst {
-			dst[i] = v
-		}
-	case opGID:
-		copy(st.icols[in.dst][:n], st.gidc[in.imm][:n])
 
 	case opFConst:
-		dst, v := st.fcols[in.dst][:n], in.fimm
+		dst, v := st.fcols[in.dst][lo:hi], in.fimm
 		for i := range dst {
 			dst[i] = v
 		}
 	case opFMov:
-		copy(st.fcols[in.dst][:n], st.fcols[in.a][:n])
+		copy(st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi])
 	case opFAdd:
-		dst, a, b := st.fcols[in.dst][:n], st.fcols[in.a][:n], st.fcols[in.b][:n]
+		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] + b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, n, p)
+		roundDense(dst, p)
 		r.flops[p] += nf
 	case opFSub:
-		dst, a, b := st.fcols[in.dst][:n], st.fcols[in.a][:n], st.fcols[in.b][:n]
+		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] - b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, n, p)
+		roundDense(dst, p)
 		r.flops[p] += nf
 	case opFMul:
-		dst, a, b := st.fcols[in.dst][:n], st.fcols[in.a][:n], st.fcols[in.b][:n]
+		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] * b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, n, p)
+		roundDense(dst, p)
 		r.flops[p] += nf
 	case opFDiv:
-		dst, a, b := st.fcols[in.dst][:n], st.fcols[in.a][:n], st.fcols[in.b][:n]
+		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
 		for i := range dst {
 			dst[i] = a[i] / b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, n, p)
+		roundDense(dst, p)
 		r.flops[p] += weightDiv * nf
 	case opFFMA:
-		dst, a, b, c := st.fcols[in.dst][:n], st.fcols[in.a][:n], st.fcols[in.b][:n], st.fcols[in.c][:n]
+		dst, a, b, c := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi], st.fcols[in.c][lo:hi]
 		for i := range dst {
 			dst[i] = math.FMA(a[i], b[i], c[i])
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, n, p)
+		roundDense(dst, p)
 		r.flops[p] += nf
 	case opItoF:
-		dst, a := st.fcols[in.dst][:n], st.icols[in.a][:n]
+		dst, a := st.fcols[in.dst][lo:hi], st.icols[in.a][lo:hi]
 		for i := range dst {
 			dst[i] = float64(a[i])
 		}
@@ -660,16 +660,16 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 	case opLoad:
 		data := r.env.Bufs[in.imm].Data()
 		bound := int64(len(data))
-		idx, dst := st.icols[in.a][:n], st.fcols[in.dst][:n]
+		idx, dst := st.icols[in.a][lo:hi], st.fcols[in.dst][lo:hi]
 		for i, ix := range idx {
 			if uint64(ix) >= uint64(bound) {
-				r.faultOOB("load", in.imm, ix, int32(i))
+				r.faultOOB("load", in.imm, ix, int32(lo+i))
 				continue
 			}
 			dst[i] = data[ix]
 		}
 		if r.converts[in.imm] {
-			roundDense(dst, n, r.computeAs[in.imm])
+			roundDense(dst, r.computeAs[in.imm])
 			r.convOps += nf
 		}
 		r.loadB += r.sizes[in.imm] * nf
@@ -677,12 +677,12 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		buf := r.env.Bufs[in.imm]
 		data := buf.Data()
 		bound := int64(len(data))
-		idx, val := st.icols[in.a][:n], st.fcols[in.b][:n]
+		idx, val := st.icols[in.a][lo:hi], st.fcols[in.b][lo:hi]
 		switch buf.Elem() {
 		case precision.Half:
 			for i, ix := range idx {
 				if uint64(ix) >= uint64(bound) {
-					r.faultOOB("store", in.imm, ix, int32(i))
+					r.faultOOB("store", in.imm, ix, int32(lo+i))
 					continue
 				}
 				data[ix] = fp16.Round(val[i])
@@ -690,7 +690,7 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		case precision.Single:
 			for i, ix := range idx {
 				if uint64(ix) >= uint64(bound) {
-					r.faultOOB("store", in.imm, ix, int32(i))
+					r.faultOOB("store", in.imm, ix, int32(lo+i))
 					continue
 				}
 				data[ix] = float64(float32(val[i]))
@@ -698,7 +698,7 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		default:
 			for i, ix := range idx {
 				if uint64(ix) >= uint64(bound) {
-					r.faultOOB("store", in.imm, ix, int32(i))
+					r.faultOOB("store", in.imm, ix, int32(lo+i))
 					continue
 				}
 				data[ix] = val[i]
@@ -710,13 +710,13 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		r.storeB += r.sizes[in.imm] * nf
 
 	case opICmp:
-		cmpIntDense(st.icols[in.dst], st.icols[in.a], st.icols[in.b], n, in.cmp)
+		cmpIntDense(st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi], in.cmp)
 		r.intOps += nf
 	case opFCmp:
-		cmpFloatDense(st.icols[in.dst], st.fcols[in.a], st.fcols[in.b], n, in.cmp)
+		cmpFloatDense(st.icols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi], in.cmp)
 		r.intOps += nf
 	case opSelI:
-		dst, c, a, b := st.icols[in.dst][:n], st.icols[in.a][:n], st.icols[in.b][:n], st.icols[in.c][:n]
+		dst, c, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi], st.icols[in.c][lo:hi]
 		for i := range dst {
 			if c[i] != 0 {
 				dst[i] = a[i]
@@ -726,7 +726,7 @@ func (r *batchRun) stepDense(in *inst, pc int, n int) bool {
 		}
 		r.intOps += nf
 	case opSelF:
-		dst, c, a, b := st.fcols[in.dst][:n], st.icols[in.a][:n], st.fcols[in.b][:n], st.fcols[in.c][:n]
+		dst, c, a, b := st.fcols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.fcols[in.b][lo:hi], st.fcols[in.c][lo:hi]
 		for i := range dst {
 			if c[i] != 0 {
 				dst[i] = a[i]
@@ -848,17 +848,6 @@ func (r *batchRun) step(in *inst, pc int, lanes []int32) {
 			dst[l] = v
 		}
 		r.intOps += n
-	case opIParam:
-		// Uniform scalar argument: read once, broadcast to the strip.
-		dst, v := st.icols[in.dst], r.env.IntArgs[in.imm]
-		for _, l := range lanes {
-			dst[l] = v
-		}
-	case opGID:
-		dst, src := st.icols[in.dst], st.gidc[in.imm]
-		for _, l := range lanes {
-			dst[l] = src[l]
-		}
 
 	case opFConst:
 		dst, v := st.fcols[in.dst], in.fimm
@@ -1073,198 +1062,5 @@ func (r *batchRun) step(in *inst, pc int, lanes []int32) {
 		for _, l := range lanes {
 			r.fault(l, fmt.Errorf("unknown opcode %d", in.op))
 		}
-	}
-}
-
-// stepDyn is step for dyn tapes: float instructions carry the tree
-// engine's dynamic precision promotion per lane through the pcols
-// columns. Integer instructions, stores, and control behave exactly as
-// in the static path and are delegated to step.
-func (r *batchRun) stepDyn(in *inst, pc int, lanes []int32) {
-	st := r.st
-	switch in.op {
-	case opFConst:
-		dst, pd, v := st.fcols[in.dst], st.pcols[in.dst], in.fimm
-		for _, l := range lanes {
-			dst[l] = v
-			pd[l] = uint8(precision.Invalid)
-		}
-	case opFMov:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		pd, pa := st.pcols[in.dst], st.pcols[in.a]
-		for _, l := range lanes {
-			dst[l] = a[l]
-			pd[l] = pa[l]
-		}
-	case opFAdd:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			dst[l] = round(a[l]+b[l], precision.Type(p))
-			pd[l] = p
-			r.flops[p]++
-		}
-	case opFSub:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			dst[l] = round(a[l]-b[l], precision.Type(p))
-			pd[l] = p
-			r.flops[p]++
-		}
-	case opFMul:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			dst[l] = round(a[l]*b[l], precision.Type(p))
-			pd[l] = p
-			r.flops[p]++
-		}
-	case opFDiv:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			dst[l] = round(a[l]/b[l], precision.Type(p))
-			pd[l] = p
-			r.flops[p] += weightDiv
-		}
-	case opFMin:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			dst[l] = round(math.Min(a[l], b[l]), precision.Type(p))
-			pd[l] = p
-			r.flops[p]++
-		}
-	case opFMax:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			dst[l] = round(math.Max(a[l], b[l]), precision.Type(p))
-			pd[l] = p
-			r.flops[p]++
-		}
-	case opFNeg:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		pd, pa := st.pcols[in.dst], st.pcols[in.a]
-		for _, l := range lanes {
-			dst[l] = -a[l]
-			pd[l] = pa[l]
-			r.flops[pa[l]]++
-		}
-	case opFAbs:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		pd, pa := st.pcols[in.dst], st.pcols[in.a]
-		for _, l := range lanes {
-			dst[l] = math.Abs(a[l])
-			pd[l] = pa[l]
-			r.flops[pa[l]]++
-		}
-	case opFSqrt:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		pd, pa := st.pcols[in.dst], st.pcols[in.a]
-		for _, l := range lanes {
-			p := pa[l]
-			dst[l] = round(math.Sqrt(a[l]), precision.Type(p))
-			pd[l] = p
-			r.flops[p] += weightSqrt
-		}
-	case opFExp:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		pd, pa := st.pcols[in.dst], st.pcols[in.a]
-		for _, l := range lanes {
-			p := pa[l]
-			dst[l] = round(math.Exp(a[l]), precision.Type(p))
-			pd[l] = p
-			r.flops[p] += weightTrans
-		}
-	case opFLog:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		pd, pa := st.pcols[in.dst], st.pcols[in.a]
-		for _, l := range lanes {
-			p := pa[l]
-			dst[l] = round(math.Log(a[l]), precision.Type(p))
-			pd[l] = p
-			r.flops[p] += weightTrans
-		}
-	case opFFMA:
-		dst, a, b, c := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b], st.fcols[in.c]
-		pd, pa, pb, pcC := st.pcols[in.dst], st.pcols[in.a], st.pcols[in.b], st.pcols[in.c]
-		for _, l := range lanes {
-			p := pa[l]
-			if pb[l] > p {
-				p = pb[l]
-			}
-			if pcC[l] > p {
-				p = pcC[l]
-			}
-			dst[l] = round(math.FMA(a[l], b[l], c[l]), precision.Type(p))
-			pd[l] = p
-			r.flops[p]++
-		}
-	case opItoF:
-		dst, a, pd := st.fcols[in.dst], st.icols[in.a], st.pcols[in.dst]
-		for _, l := range lanes {
-			dst[l] = float64(a[l])
-			pd[l] = uint8(precision.Invalid)
-		}
-	case opLoad:
-		data := r.env.Bufs[in.imm].Data()
-		bound := int64(len(data))
-		idx, dst, pd := st.icols[in.a], st.fcols[in.dst], st.pcols[in.dst]
-		ca := uint8(r.computeAs[in.imm])
-		for _, l := range lanes {
-			i := idx[l]
-			if uint64(i) >= uint64(bound) {
-				r.faultOOB("load", in.imm, i, l)
-				continue
-			}
-			dst[l] = data[i]
-			pd[l] = ca
-		}
-		if r.converts[in.imm] {
-			roundLanes(dst, lanes, r.computeAs[in.imm])
-			r.convOps += float64(len(lanes))
-		}
-		r.loadB += r.sizes[in.imm] * float64(len(lanes))
-	case opSelF:
-		dst, c, a, b := st.fcols[in.dst], st.icols[in.a], st.fcols[in.b], st.fcols[in.c]
-		pd, pa, pb := st.pcols[in.dst], st.pcols[in.b], st.pcols[in.c]
-		for _, l := range lanes {
-			if c[l] != 0 {
-				dst[l] = a[l]
-				pd[l] = pa[l]
-			} else {
-				dst[l] = b[l]
-				pd[l] = pb[l]
-			}
-		}
-		r.intOps += float64(len(lanes))
-	default:
-		r.step(in, pc, lanes)
 	}
 }

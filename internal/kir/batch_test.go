@@ -18,9 +18,10 @@ import (
 
 // diffKernels builds the kernel shapes the differential tests sweep:
 // accumulator loops, divergent (gid-dependent) trip counts, branches,
-// selects, transcendentals, multi-buffer streaming, a dyn-tape select,
-// and the three suite epilogues whose tapes are static only when a
-// launch-constant loop is known to run.
+// selects, transcendentals, multi-buffer streaming, a dyn-key select,
+// the three suite epilogues whose tapes are static only when a
+// launch-constant loop is known to run, loops whose start varies among
+// the active lanes, and a boundary if whose active lanes form runs.
 func diffKernels() map[string]*Kernel {
 	ks := map[string]*Kernel{}
 
@@ -87,7 +88,7 @@ func diffKernels() map[string]*Kernel {
 
 	// A float select between two buffers: under a binding that computes
 	// A and B at different precisions, the sum's precision differs
-	// across lanes, so the binding runs on a dyn tape.
+	// across lanes, so the binding is a dyn key and runs on the walker.
 	ks["mixedsel"] = NewKernel("mixedsel", 1).In("A").In("B").Out("C").Ints("n").
 		Body(
 			LetF("v", Cond(Lt(ItoF(Gid(0)), F(8)), At("A", Gid(0)), At("B", Gid(0)))),
@@ -130,6 +131,49 @@ func diffKernels() map[string]*Kernel {
 					)),
 				),
 				Put("C", Idx2(Gid(0), P("n"), V("j")), Div(V("acc"), Sub(ItoF(P("n")), F(1)))),
+			),
+		).MustBuild()
+
+	// Loops whose start varies among the active lanes, so all must stay
+	// divergent: i starts at j mod 3 under a gid-started j, k at a
+	// counter bumped under a divergent if, and m at a counter bumped in
+	// every round of the divergent j.
+	ks["varstart"] = NewKernel("varstart", 1).In("A").Out("C").Ints("n").
+		Body(
+			LetI("c", I(0)),
+			When(Lt(Mod(Gid(0), I(3)), I(1)), Set("c", Add(V("c"), I(2)))),
+			LetI("t", I(0)),
+			LetF("acc", F(0)),
+			Loop("j", Gid(0), P("n"),
+				Set("t", Add(V("t"), I(1))),
+				Loop("i", Mod(V("j"), I(3)), P("n"),
+					Set("acc", Add(Mul(At("A", Idx2(V("i"), P("n"), V("j"))), F(0.5)), V("acc"))),
+				),
+			),
+			Loop("k", V("c"), P("n"),
+				Set("acc", Add(At("A", Idx2(Gid(0), P("n"), V("k"))), V("acc"))),
+			),
+			Loop("m", V("t"), P("n"),
+				Set("acc", Add(At("A", V("m")), V("acc"))),
+			),
+			Put("C", Gid(0), V("acc")),
+		).MustBuild()
+
+	// A 2D stencil whose boundary if tests both gids and reads the
+	// neighbours: its active lanes are one run per row starting past
+	// lane 0, several runs per strip when a strip holds several rows.
+	// The row index is gid 0, so an NDRange wider than n faults inside a
+	// run.
+	ks["window"] = NewKernel("window", 2).In("A").Out("B").Ints("n").
+		Body(
+			When(And(Ge(Gid(0), I(1)), And(Ge(Gid(1), I(1)), Lt(Gid(1), Sub(P("n"), I(1))))),
+				Put("B", Idx2(Gid(0), P("n"), Gid(1)), Add(
+					Mul(F(0.5), At("A", Idx2(Gid(0), P("n"), Gid(1)))),
+					Add(
+						Add(At("A", Idx2(Gid(0), P("n"), Sub(Gid(1), I(1)))), At("A", Idx2(Gid(0), P("n"), Add(Gid(1), I(1))))),
+						At("A", Idx2(Sub(Gid(0), I(1)), P("n"), Gid(1))),
+					),
+				)),
 			),
 		).MustBuild()
 
@@ -312,18 +356,24 @@ func FuzzBatchVsReference(f *testing.F) {
 }
 
 func TestBatchDifferentialStripSizes(t *testing.T) {
-	k := diffKernels()["triangular"]
-	p := MustCompile(k)
 	const n = 23
-	for _, strip := range []int{1, 7, 64, 256, 1024} {
-		strip := strip
-		mk := mkEnv(0, []precision.Type{precision.Double, precision.Double},
-			[]int{n * n, n * n}, nil, []int64{int64(n)}, [2]int{n, 1})
-		runBothEngines(t, p, func() *ExecEnv {
-			env := mk()
-			env.Strip = strip
-			return env
-		})
+	for _, name := range []string{"triangular", "window"} {
+		k := diffKernels()[name]
+		p := MustCompile(k)
+		global := [2]int{n, 1}
+		if k.Dims == 2 {
+			global[1] = n
+		}
+		for _, strip := range []int{1, 7, 64, 256, 1024} {
+			strip := strip
+			mk := mkEnv(0, []precision.Type{precision.Double, precision.Double},
+				[]int{n * n, n * n}, nil, []int64{int64(n)}, global)
+			runBothEngines(t, p, func() *ExecEnv {
+				env := mk()
+				env.Strip = strip
+				return env
+			})
+		}
 	}
 }
 
@@ -345,6 +395,15 @@ func TestBatchFaultIdentity(t *testing.T) {
 		p := MustCompile(k)
 		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{64, 32}, nil, []int64{64}, [2]int{64, 1}))
+	})
+	t.Run("load-oob-in-run", func(t *testing.T) {
+		// Lanes 5..63 form one run that does not start at lane 0; lane
+		// 16 is its first to read out of bounds.
+		k := NewKernel("oobrun", 1).In("A").Out("B").Ints("n").
+			Body(When(Ge(Gid(0), I(5)), Put("B", Gid(0), At("A", Mul(Gid(0), I(2)))))).MustBuild()
+		p := MustCompile(k)
+		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
+			[]int{32, 64}, nil, []int64{32}, [2]int{64, 1}))
 	})
 	t.Run("div-zero", func(t *testing.T) {
 		// Lane 13 divides by zero mid-strip; every other lane stays in
@@ -374,10 +433,10 @@ func TestBatchFaultIdentity(t *testing.T) {
 
 // TestBatchDynTape builds a binding the static precision inference
 // cannot resolve — a float select between two compute precisions feeding
-// arithmetic — and checks that the batch compiler switches that binding
-// to the dynamic (per-lane precision column) tape while a uniform
-// binding of the same kernel stays on the fully-static tape, and that
-// both execute identically to the tree engine.
+// arithmetic — and checks that the batch compiler marks that key dyn, so
+// Run executes it on the reference walker, while a uniform binding of
+// the same kernel gets a static tape, and that both execute identically
+// to the tree engine.
 func TestBatchDynTape(t *testing.T) {
 	p := MustCompile(diffKernels()["mixedsel"])
 	ca := []precision.Type{precision.Half, precision.Double, precision.Double}
@@ -395,9 +454,8 @@ func TestBatchDynTape(t *testing.T) {
 
 // TestZeroTripTapes pins the non-empty mask on the three epilogue
 // shapes: a launch whose loops run gets a static tape, and a launch with
-// n = 0, where they run zero times, still gets the conservative dyn
-// tape. Both launches run on one Program and match the reference
-// walker.
+// n = 0, where they run zero times, is still a conservative dyn key.
+// Both launches run on one Program and match the reference walker.
 func TestZeroTripTapes(t *testing.T) {
 	const size = 6
 	ks := diffKernels()

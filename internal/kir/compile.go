@@ -10,23 +10,26 @@ import (
 )
 
 // This file specializes a lowered Program for the batch (vectorized
-// strip) engine: it rebuilds the structured control tree from the
-// lowerer's ctrl records and statically resolves the result precision of
-// every floating-point instruction for one concrete precision binding
-// (the per-buffer compute precisions of a launch) and one non-empty mask
-// (which launch-constant loops run at least once; see Program.nonEmpty).
-// The tree engine tracks precision dynamically per register; the batch
-// engine instead proves at specialization time that every executed float
-// operation has a single possible result precision, so the per-lane
-// inner loops carry no precision bookkeeping at all. The mask is what
-// lets an accumulator that starts as an untyped constant resolve: after
-// a loop known to run, its zero-trip path is not real. Where the proof
+// strip) engine. Once per Program it rebuilds the structured control
+// tree from the lowerer's ctrl records and runs a lane-variance
+// analysis that marks the loops whose head compare is uniform among
+// the lanes active there. Per tape key — one concrete precision
+// binding (the per-buffer compute precisions of a launch) and one
+// non-empty mask (which launch-constant loops run at least once; see
+// Program.nonEmpty) — it statically resolves the result precision of
+// every floating-point instruction. The tree engine tracks precision
+// dynamically per register; the batch engine instead proves at
+// specialization time that every executed float operation has a
+// single possible result precision, so the per-lane inner loops carry
+// no precision bookkeeping at all. The mask is what lets an
+// accumulator that starts as an untyped constant resolve: after a
+// loop known to run, its zero-trip path is not real. Where the proof
 // still fails (lane-divergent precision through float selects feeding
-// arithmetic, or a launch where such a loop runs zero times) the tape is
-// a dyn tape, which carries the tree engine's dynamic precision per
-// lane. Only a program whose control tree cannot be rebuilt (bytecode
-// the lowerer did not produce) has no specialization; Run rejects it
-// with an error.
+// arithmetic, or a launch where such a loop runs zero times) the key
+// is a dyn key, and Run executes it on the reference walker. Only a
+// program whose control tree cannot be rebuilt (bytecode the lowerer
+// did not produce) has no specialization; Run rejects it with an
+// error.
 
 // bnodeKind classifies batch execution tree nodes.
 type bnodeKind uint8
@@ -52,9 +55,10 @@ type bnode struct {
 	body   []bnode
 	els    []bnode
 	// uniform (bLoop only) marks loops whose head compare reads only
-	// lane-invariant registers: every active lane agrees on the
-	// condition each round, so the executor evaluates it once per strip
-	// instead of per lane and never filters the lane list.
+	// registers uniform among the lanes active at the head: every active
+	// lane agrees on the condition each round, so the executor evaluates
+	// it once per round instead of per lane and never filters the lane
+	// list.
 	uniform bool
 	// headLive (uniform bLoop only) marks heads whose compare result
 	// register is read by some instruction other than the loop's own
@@ -66,12 +70,13 @@ type bnode struct {
 	bit uint64
 }
 
-// batchCache holds the lazily-built batch specializations of a Program.
-// The structure tree is binding-independent and built once; the
-// precision tapes are keyed by the launch's non-empty mask and the
-// effective compute precision of each buffer argument; keys without a
-// static resolution get a dyn tape. structOK false (bytecode the lowerer
-// did not produce) means no binding has a tape and Run returns an error.
+// batchCache holds the lazily-built batch specializations of a
+// Program. The structure tree and its uniform loops are
+// binding-independent and built once; the precision tapes are keyed
+// by the launch's non-empty mask and the effective compute precision
+// of each buffer argument; keys without a static resolution are
+// marked dyn. structOK false (bytecode the lowerer did not produce)
+// means no binding has a tape and Run returns an error.
 type batchCache struct {
 	mu       sync.Mutex
 	built    bool
@@ -94,9 +99,8 @@ type batchProg struct {
 	// dyn marks keys whose precision dataflow could not be resolved
 	// statically: a select between different compute precisions feeding
 	// arithmetic, or an accumulator read after a launch-constant loop
-	// that runs zero times in this launch. The executor then tracks
-	// precision per lane in columns — still vectorized, just with the
-	// tree engine's dynamic promotion done lane-wise.
+	// that runs zero times in this launch. Run executes a dyn key on the
+	// reference walker, which defines the semantics.
 	dyn  bool
 	pool sync.Pool // *batchState
 }
@@ -332,8 +336,7 @@ func promoteRange(a, b precRange) precRange {
 // inferPrec runs the precision dataflow over the structure tree and
 // resolves every float instruction's result precision for the binding
 // ca under the launch's non-empty mask. ok=false means some executed
-// operation's precision could differ across lanes, and the key gets a
-// dyn tape.
+// operation's precision could differ across lanes, and the key is dyn.
 func (p *Program) inferPrec(nodes []bnode, ca []precision.Type, mask uint64) ([]precision.Type, bool) {
 	// res joins each rounding instruction's result range over all its
 	// visits; an instruction never visited keeps the empty range lo > hi.
@@ -392,101 +395,150 @@ func (p *Program) inferPrec(nodes []bnode, ca []precision.Type, mask uint64) ([]
 }
 
 // markUniform runs a lane-variance dataflow over the structure tree and
-// flags loops whose head compare is lane-invariant (uniform): every lane
-// of a strip agrees on the condition each round, so the executor can
-// evaluate it once per strip, keep the lane list intact, and preserve
-// the dense-lane fast paths. Variance sources are the gid registers and
-// buffer loads; it propagates through arithmetic and through assignment
-// under divergent control (an instruction guarded by a variant branch or
-// loop writes lane-dependent values). The analysis is binding-independent
-// and runs once per Program.
+// flags the loops whose head compare is uniform among the lanes active
+// at the head: every active lane agrees on the condition each round, so
+// the executor evaluates it once per round and keeps the lane list
+// intact. The state holds, per register, whether it may differ among
+// the lanes active at this point (the uniform, consecutive and varying
+// value classes of Karrenberg & Hack, CGO 2011, with consecutive folded
+// into varying). Constants and scalar arguments are uniform; gids and
+// loads vary; other results vary when an operand does. An if arm or a
+// loop round only shrinks the active set, so a uniform register stays
+// uniform inside it. Lanes that rejoin after a divergent if or loop have
+// different histories, so every register written inside one varies
+// after it. A loop iterates its head state from join(entry, back edge)
+// until nothing changes. The analysis is binding-independent and runs
+// once per Program.
 func markUniform(p *Program, nodes []bnode) {
-	iv := make([]bool, p.nIReg) // int register is lane-variant
-	fv := make([]bool, p.nFReg) // float register is lane-variant
-	changed := true
-	taint := func(slot *bool, v bool) {
-		if v && !*slot {
-			*slot = true
-			changed = true
-		}
-	}
-	apply := func(in *inst, div bool) {
-		switch in.op {
-		case opIConst, opIParam:
-			taint(&iv[in.dst], div)
-		case opIMov, opIAddImm, opINeg, opIAbs:
-			taint(&iv[in.dst], div || iv[in.a])
-		case opIAdd, opISub, opIMul, opIDiv, opIMod, opIMin, opIMax,
-			opICmp, opBAnd, opBOr:
-			taint(&iv[in.dst], div || iv[in.a] || iv[in.b])
-		case opSelI:
-			taint(&iv[in.dst], div || iv[in.a] || iv[in.b] || iv[in.c])
-		case opFCmp:
-			taint(&iv[in.dst], div || fv[in.a] || fv[in.b])
-		case opGID:
-			taint(&iv[in.dst], true)
-		case opFConst:
-			taint(&fv[in.dst], div)
-		case opFMov, opFNeg, opFAbs, opFSqrt, opFExp, opFLog:
-			taint(&fv[in.dst], div || fv[in.a])
-		case opFAdd, opFSub, opFMul, opFDiv, opFMin, opFMax:
-			taint(&fv[in.dst], div || fv[in.a] || fv[in.b])
-		case opFFMA:
-			taint(&fv[in.dst], div || fv[in.a] || fv[in.b] || fv[in.c])
-		case opItoF:
-			taint(&fv[in.dst], div || iv[in.a])
-		case opSelF:
-			taint(&fv[in.dst], div || iv[in.a] || fv[in.b] || fv[in.c])
-		case opLoad:
-			// Conservative: loads read shared buffers that in-strip
-			// stores may have written lane-dependently.
-			taint(&fv[in.dst], true)
-		}
-	}
-	var walk func(nds []bnode, div bool)
-	walk = func(nds []bnode, div bool) {
+	nI := p.nIReg
+	var walk func(nds []bnode, v []bool)
+	walk = func(nds []bnode, v []bool) {
 		for i := range nds {
 			nd := &nds[i]
 			switch nd.kind {
 			case bSeq:
 				for pc := nd.lo; pc < nd.hi; pc++ {
-					apply(&p.code[pc], div)
+					varyStep(v, nI, &p.code[pc])
+				}
+			case bIf:
+				div := v[p.code[nd.pc].a]
+				els := append([]bool(nil), v...)
+				walk(nd.body, v)
+				walk(nd.els, els)
+				orInto(v, els)
+				if div {
+					p.markWritten(nd.body, v)
+					p.markWritten(nd.els, v)
 				}
 			case bLoop:
 				head := &p.code[nd.pc]
-				apply(head, div)
-				walk(nd.body, div || iv[head.a] || iv[head.b])
-			case bIf:
-				cdiv := div || iv[p.code[nd.pc].a]
-				walk(nd.body, cdiv)
-				walk(nd.els, cdiv)
+				h := append([]bool(nil), v...)
+				for {
+					copy(v, h)
+					varyStep(v, nI, head)
+					walk(nd.body, v)
+					if !orInto(h, v) {
+						break
+					}
+				}
+				copy(v, h)
+				varyStep(v, nI, head)
+				nd.uniform = !h[head.a] && !h[head.b]
+				nd.headLive = nd.uniform && intRegReadElsewhere(p.code, head.dst, nd.pc+1)
+				if !nd.uniform {
+					p.markWritten(nd.body, v)
+				}
 			}
 		}
 	}
-	for changed {
-		changed = false
-		walk(nodes, false)
-	}
+	// Entry: nothing is written yet, and no item reads a register before
+	// writing it, so every register may start uniform.
+	walk(nodes, make([]bool, nI+p.nFReg))
+}
 
-	var flag func(nds []bnode)
-	flag = func(nds []bnode) {
-		for i := range nds {
-			nd := &nds[i]
-			switch nd.kind {
-			case bLoop:
-				head := &p.code[nd.pc]
-				if !iv[head.a] && !iv[head.b] {
-					nd.uniform = true
-					nd.headLive = intRegReadElsewhere(p.code, head.dst, nd.pc+1)
-				}
-				flag(nd.body)
-			case bIf:
-				flag(nd.body)
-				flag(nd.els)
-			}
+// orInto sets dst to dst OR src element-wise and reports whether dst
+// changed.
+func orInto(dst, src []bool) bool {
+	changed := false
+	for r, x := range src {
+		if x && !dst[r] {
+			dst[r] = true
+			changed = true
 		}
 	}
-	flag(nodes)
+	return changed
+}
+
+// varyStep applies one instruction to the lane-variance state v: int
+// register r at v[r], float register r at v[nI+r].
+func varyStep(v []bool, nI int, in *inst) {
+	f := func(r int32) bool { return v[nI+int(r)] }
+	switch in.op {
+	case opIConst, opIParam:
+		v[in.dst] = false
+	case opGID:
+		v[in.dst] = true
+	case opIMov, opIAddImm, opINeg, opIAbs:
+		v[in.dst] = v[in.a]
+	case opIAdd, opISub, opIMul, opIDiv, opIMod, opIMin, opIMax,
+		opICmp, opBAnd, opBOr:
+		v[in.dst] = v[in.a] || v[in.b]
+	case opSelI:
+		v[in.dst] = v[in.a] || v[in.b] || v[in.c]
+	case opFCmp:
+		v[in.dst] = f(in.a) || f(in.b)
+	case opFConst:
+		v[nI+int(in.dst)] = false
+	case opFMov, opFNeg, opFAbs, opFSqrt, opFExp, opFLog:
+		v[nI+int(in.dst)] = f(in.a)
+	case opFAdd, opFSub, opFMul, opFDiv, opFMin, opFMax:
+		v[nI+int(in.dst)] = f(in.a) || f(in.b)
+	case opFFMA:
+		v[nI+int(in.dst)] = f(in.a) || f(in.b) || f(in.c)
+	case opItoF:
+		v[nI+int(in.dst)] = v[in.a]
+	case opSelF:
+		v[nI+int(in.dst)] = v[in.a] || f(in.b) || f(in.c)
+	case opLoad:
+		// Loads read shared buffers that in-strip stores may have written
+		// lane-dependently.
+		v[nI+int(in.dst)] = true
+	}
+}
+
+// markWritten marks every register an instruction in nds writes as
+// varying, loop heads included.
+func (p *Program) markWritten(nds []bnode, v []bool) {
+	for i := range nds {
+		nd := &nds[i]
+		switch nd.kind {
+		case bSeq:
+			for pc := nd.lo; pc < nd.hi; pc++ {
+				if r := dstSlot(&p.code[pc], p.nIReg); r >= 0 {
+					v[r] = true
+				}
+			}
+		case bLoop:
+			v[p.code[nd.pc].dst] = true
+			p.markWritten(nd.body, v)
+		case bIf:
+			p.markWritten(nd.body, v)
+			p.markWritten(nd.els, v)
+		}
+	}
+}
+
+// dstSlot returns the register that in writes, numbered as in varyStep
+// (float registers after the int ones), or -1 when it writes none.
+func dstSlot(in *inst, nI int) int {
+	switch {
+	case in.op >= opIConst && in.op <= opGID, in.op == opICmp, in.op == opFCmp,
+		in.op == opBAnd, in.op == opBOr, in.op == opSelI:
+		return int(in.dst)
+	case in.op >= opFConst && in.op <= opItoF, in.op == opLoad, in.op == opSelF:
+		return nI + int(in.dst)
+	}
+	return -1
 }
 
 // intRegReadElsewhere reports whether integer register reg is read by any

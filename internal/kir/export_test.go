@@ -36,3 +36,26 @@ func (p *Program) Tapes() []TapeInfo {
 	}
 	return out
 }
+
+// DiffKernels exposes the differential-test kernel shapes to the
+// external test package.
+var DiffKernels = diffKernels
+
+// LoopUniform reports, for each loop of p in bytecode order, whether the
+// batch engine runs it as uniform among its active lanes.
+func (p *Program) LoopUniform() []bool {
+	p.batchFor(make([]precision.Type, len(p.Kernel.Bufs)), 0) // builds the structure tree
+	var out []bool
+	var walk func(nds []bnode)
+	walk = func(nds []bnode) {
+		for i := range nds {
+			if nds[i].kind == bLoop {
+				out = append(out, nds[i].uniform)
+			}
+			walk(nds[i].body)
+			walk(nds[i].els)
+		}
+	}
+	walk(p.batch.nodes)
+	return out
+}

@@ -97,9 +97,11 @@ type interpState struct {
 
 // Run executes the program over the NDRange described by env and returns
 // the dynamic counts. Functional effects (stores) land in env.Bufs with
-// storage-precision rounding. Errors report out-of-bounds accesses,
-// argument mismatches, integer division by zero, or bytecode whose
-// control flow the batch engine cannot rebuild.
+// storage-precision rounding. A launch runs on the batch engine when its
+// key has a static precision tape, and on the reference walker
+// otherwise; the results are identical either way. Errors report
+// out-of-bounds accesses, argument mismatches, integer division by zero,
+// or bytecode whose control flow the batch engine cannot rebuild.
 func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	k := p.Kernel
 	if len(env.Bufs) != len(k.Bufs) {
@@ -141,12 +143,17 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	if p.reference {
 		return p.runTree(env, computeAs, converts, sizes, gx, gy)
 	}
-	// The batch engine handles every launch of a lowerer-produced
-	// program (lane-divergent precision dataflow and loops that run zero
-	// times run on a dyn tape).
+	// A key is static or runs on the walker: a dyn key (lane-divergent
+	// precision dataflow, or a launch-constant loop that runs zero times
+	// ahead of an untyped accumulator) has no static precision tape, and
+	// the walker defines its semantics. No suite launch has one
+	// (TestSuiteStaticTapes).
 	bp := p.batchFor(computeAs, p.nonEmpty(env.IntArgs))
-	if bp == nil {
+	switch {
+	case bp == nil:
 		return Counts{}, fmt.Errorf("kernel %s: control flow not produced by the lowerer; the batch engine cannot rebuild it", k.Name)
+	case bp.dyn:
+		return p.runTree(env, computeAs, converts, sizes, gx, gy)
 	}
 	return bp.run(env, computeAs, converts, sizes, gx, gy)
 }

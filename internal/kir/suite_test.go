@@ -2,10 +2,12 @@ package kir_test
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/kir"
 	"repro/internal/polybench"
 	"repro/internal/precision"
 	"repro/internal/prog"
@@ -50,6 +52,29 @@ func TestSuiteStaticTapes(t *testing.T) {
 					t.Errorf("%s/%s: binding %v, non-empty mask %#x: dyn tape", w.Name, name, tape.Binding, tape.Mask)
 				}
 			}
+		}
+	}
+}
+
+// TestLoopUniformity pins, loop by loop in bytecode order, which loops
+// the batch engine runs as uniform among their active lanes: a counted
+// loop stays uniform under a gid-started loop or a boundary if, and a
+// loop whose start varies among the active lanes stays divergent.
+func TestLoopUniformity(t *testing.T) {
+	ks := kir.DiffKernels()
+	for _, c := range []struct {
+		name string
+		p    *kir.Program
+		want []bool
+	}{
+		{"matmul k", kir.MustCompile(ks["matmul"]), []bool{true}},
+		{"triangular j, i", kir.MustCompile(ks["triangular"]), []bool{false, true}},
+		{"innerconst j, i", kir.MustCompile(ks["innerconst"]), []bool{false, true}},
+		{"varstart j, i, k, m", kir.MustCompile(ks["varstart"]), []bool{false, false, false, false}},
+		{"conv3d k", polybench.ThreeDConv(8).Kernels["conv3d"], []bool{true}},
+	} {
+		if got := c.p.LoopUniform(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: uniform = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -35,10 +35,12 @@ type interpBenchSpec struct {
 // interpBenchSpecs covers the kernel shapes that stress distinct
 // interpreter paths: gemm (uniform inner loop, FMA-heavy), conv2d
 // (straight-line 2D stencil), atax_k1 (1D row reduction), corr_mat
-// (gid-dependent loop bound — divergent lanes), and the three kernels
-// whose tapes are static only because their accumulator loops are known
-// to run: mm2_k1 (bare alpha*acc epilogue), covar_mat (launch-constant
-// inner loop under a divergent one) and gesummv (two accumulators).
+// (gid-dependent loop bound — divergent lanes), the three kernels whose
+// tapes are static only because their accumulator loops are known to
+// run: mm2_k1 (bare alpha*acc epilogue), covar_mat (launch-constant
+// inner loop under a divergent one) and gesummv (two accumulators), and
+// two boundary ifs: conv3d (a counted loop inside the if, several runs
+// per strip) and fdtd_step3 (one run per strip).
 func interpBenchSpecs() []interpBenchSpec {
 	gemm := polybench.Gemm(104)
 	conv := polybench.TwoDConv(256, 256)
@@ -47,6 +49,8 @@ func interpBenchSpecs() []interpBenchSpec {
 	mm2 := polybench.TwoMM(128)
 	covar := polybench.Covar(128, 128)
 	gesummv := polybench.Gesummv(1024)
+	conv3 := polybench.ThreeDConv(64)
+	fdtd := polybench.Fdtd2D(256, 1)
 	return []interpBenchSpec{
 		{"gemm", gemm, "gemm", []string{"A", "B", "C"}, [2]int{104, 104},
 			[]int64{104, 104, 104}},
@@ -62,6 +66,10 @@ func interpBenchSpecs() []interpBenchSpec {
 			[]int64{128, 128}},
 		{"gesummv", gesummv, "gesummv", []string{"A", "B", "x", "y"}, [2]int{1024, 1},
 			[]int64{1024}},
+		{"conv3d", conv3, "conv3d", []string{"A", "B"}, [2]int{64, 64},
+			[]int64{64}},
+		{"fdtd_step3", fdtd, "fdtd_step3", []string{"ex", "ey", "hz"}, [2]int{256, 256},
+			[]int64{256}},
 	}
 }
 

@@ -12,7 +12,8 @@
 // mode, or an already-summarized prescaler-bench/v1 file via -in, e.g.
 // one written by cmd/prescalerbench) and check it against the committed
 // baseline. A benchmark whose median ns/op regresses by more than
-// -tolerance fails the run; alloc growth warns. Summaries carrying a
+// -tolerance fails the run; allocs/op growth warns, and so does B/op
+// growth beyond -tolerance. Summaries carrying a
 // service load section are gated on p99 latency and throughput with the
 // same tolerance. When the two summaries were measured on different CPU
 // models, absolute-time regressions are downgraded to warnings — but
@@ -162,6 +163,9 @@ func compare(base, cur *benchfmt.File, tol float64) int {
 		}
 		if c.AllocsOp > b.AllocsOp {
 			fmt.Printf("warn %s: allocs/op grew %.0f -> %.0f\n", name, b.AllocsOp, c.AllocsOp)
+		}
+		if c.BOp > b.BOp*(1+tol) {
+			fmt.Printf("warn %s: B/op grew %.0f -> %.0f (tolerance %.0f%%)\n", name, b.BOp, c.BOp, tol*100)
 		}
 	}
 	if base.Service != nil {

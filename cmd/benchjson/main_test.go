@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -67,6 +69,47 @@ func TestCompareTolerance(t *testing.T) {
 	cur.CPU = "Other CPU"
 	if n := compare(base, cur, 0.15); n != 0 {
 		t.Fatalf("cross-CPU regression produced %d failures, want 0", n)
+	}
+}
+
+// compareOutput runs compare and returns what it printed.
+func compareOutput(t *testing.T, base, cur *benchfmt.File) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	compare(base, cur, 0.15)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+func TestCompareWarnsOnByteGrowth(t *testing.T) {
+	const name = "repro/internal/prog/BenchmarkProgRun"
+	base := parseSample(t)
+	grow := func(f float64) *benchfmt.File {
+		cur := parseSample(t)
+		b := cur.Benchmarks[name]
+		b.BOp *= f
+		cur.Benchmarks[name] = b
+		return cur
+	}
+	if out := compareOutput(t, base, grow(1.1)); strings.Contains(out, "B/op") {
+		t.Errorf("B/op growth within tolerance warned:\n%s", out)
+	}
+	out := compareOutput(t, base, grow(2))
+	if !strings.Contains(out, "warn "+name+": B/op grew 2100 -> 4200") {
+		t.Errorf("doubled B/op did not warn:\n%s", out)
+	}
+	if n := compare(base, grow(2), 0.15); n != 0 {
+		t.Errorf("B/op growth produced %d failures, want a warning only", n)
 	}
 }
 

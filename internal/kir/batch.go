@@ -658,7 +658,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 		}
 
 	case opLoad:
-		data := r.env.Bufs[in.imm].Data()
+		data := r.env.Bufs[in.imm].Values()
 		bound := int64(len(data))
 		idx, dst := st.icols[in.a][lo:hi], st.fcols[in.dst][lo:hi]
 		for i, ix := range idx {
@@ -958,7 +958,7 @@ func (r *batchRun) step(in *inst, pc int, lanes []int32) {
 		}
 
 	case opLoad:
-		data := r.env.Bufs[in.imm].Data()
+		data := r.env.Bufs[in.imm].Values()
 		bound := int64(len(data))
 		idx, dst := st.icols[in.a], st.fcols[in.dst]
 		for _, l := range lanes {

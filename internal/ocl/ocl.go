@@ -228,8 +228,10 @@ func (b *Buffer) Len() int { return b.arr.Len() }
 // Bytes returns the device memory footprint.
 func (b *Buffer) Bytes() int { return b.arr.Bytes() }
 
-// Array exposes the device-resident data. Direct mutation bypasses the
-// simulated clock; runtime-internal code and tests only.
+// Array exposes the device-resident data. It may share its storage with
+// host arrays and cache snapshots; its mutators fork before writing.
+// Direct mutation bypasses the simulated clock; runtime-internal code and
+// tests only.
 func (b *Buffer) Array() *precision.Array { return b.arr }
 
 // ContentVersion returns the evaluator's content tag for the buffer
@@ -344,7 +346,8 @@ func bufID(b *Buffer) int {
 
 // WriteBuffer transfers src from the host into dst on the device. The
 // element precisions must match: conversions are explicit, separate steps
-// in this runtime (the convert package composes them).
+// in this runtime (the convert package composes them). dst shares src's
+// storage until either is written.
 func (q *Queue) WriteBuffer(dst *Buffer, src *precision.Array) error {
 	if src.Elem() != dst.Elem() {
 		return &Error{Status: StatusInvalidValue, Op: "write", Detail: dst.name,
@@ -357,7 +360,7 @@ func (q *Queue) WriteBuffer(dst *Buffer, src *precision.Array) error {
 	if err := q.ctx.preOp(fault.Write, "write", dst.name); err != nil {
 		return err
 	}
-	dst.arr.CopyFrom(src)
+	dst.arr.Adopt(src)
 	bytes := src.Bytes()
 	q.record(Event{
 		Kind: EvWrite, Dir: DirHtoD,
@@ -369,12 +372,13 @@ func (q *Queue) WriteBuffer(dst *Buffer, src *precision.Array) error {
 }
 
 // ReadBuffer transfers the device buffer back to a host array of the same
-// precision.
+// precision. The host array shares the buffer's storage until either is
+// written.
 func (q *Queue) ReadBuffer(src *Buffer) (*precision.Array, error) {
 	if err := q.ctx.preOp(fault.Read, "read", src.name); err != nil {
 		return nil, err
 	}
-	out := src.arr.Clone()
+	out := src.arr.Share()
 	bytes := src.Bytes()
 	q.record(Event{
 		Kind: EvRead, Dir: DirDtoH,

@@ -152,12 +152,25 @@ func Epsilon(t Type) float64 {
 // precision: every store rounds through the element type, so the float64
 // values held internally are always exactly representable at Elem. It is
 // the host-side analog of an OpenCL memory object's backing store.
+//
+// An Array either owns its storage or shares it with other arrays (cache
+// snapshots, replayed buffers, read-backs). Sharing is copy-on-write:
+// every mutator (Set, Data, Fill, CopyFrom) forks shared storage before it
+// writes, so a write through one array never shows through another. A
+// zero array allocates its storage on first touch.
 type Array struct {
 	elem Type
+	n    int
+	// data is nil until first touched; a nil data reads as n zeros.
 	data []float64
+	// shared reports that data may be referenced by another Array: the
+	// array is frozen. Only a mutator clears it, by forking. Nothing that
+	// reads or hands out views writes to a frozen array, so concurrent
+	// goroutines may read and share it.
+	shared bool
 }
 
-// NewArray allocates an Array of n zero elements at precision t. The
+// NewArray returns an Array of n zero elements at precision t. The
 // type must be valid and n non-negative; violating either is a
 // programmer error, so it panics rather than returning an error.
 func NewArray(t Type, n int) *Array {
@@ -167,14 +180,14 @@ func NewArray(t Type, n int) *Array {
 	if n < 0 {
 		panic("precision: NewArray with negative length")
 	}
-	return &Array{elem: t, data: make([]float64, n)}
+	return &Array{elem: t, n: n}
 }
 
 // FromSlice builds an Array at precision t containing vals, each rounded
 // to t.
 func FromSlice(t Type, vals []float64) *Array {
 	a := NewArray(t, len(vals))
-	RoundSlice(a.data, vals, t)
+	RoundSlice(a.Values(), vals, t)
 	return a
 }
 
@@ -182,76 +195,115 @@ func FromSlice(t Type, vals []float64) *Array {
 func (a *Array) Elem() Type { return a.elem }
 
 // Len returns the number of elements.
-func (a *Array) Len() int { return len(a.data) }
+func (a *Array) Len() int { return a.n }
 
 // Bytes returns the storage footprint in bytes at the element precision.
-func (a *Array) Bytes() int { return len(a.data) * a.elem.Size() }
+func (a *Array) Bytes() int { return a.n * a.elem.Size() }
 
 // Get returns element i (already exactly representable at Elem).
-func (a *Array) Get(i int) float64 { return a.data[i] }
+func (a *Array) Get(i int) float64 { return a.Values()[i] }
 
 // Set stores v at index i, rounding to the element precision.
-func (a *Array) Set(i int, v float64) { a.data[i] = Round(v, a.elem) }
+func (a *Array) Set(i int, v float64) { a.own()[i] = Round(v, a.elem) }
 
-// Data exposes the backing slice. Callers must not store values that are
-// not representable at Elem; use Set when in doubt.
-func (a *Array) Data() []float64 { return a.data }
+// Values returns the elements for reading without forking shared
+// storage. Callers must not write through the returned slice; use Data
+// to write.
+func (a *Array) Values() []float64 {
+	if a.data == nil {
+		a.data = make([]float64, a.n)
+	}
+	return a.data
+}
 
-// Clone returns a deep copy of a.
-func (a *Array) Clone() *Array {
-	c := &Array{elem: a.elem, data: make([]float64, len(a.data))}
-	copy(c.data, a.data)
-	return c
+// Data returns the elements for writing: shared storage is forked first,
+// so writes never show through another array. Callers must not store
+// values that are not representable at Elem; use Set when in doubt.
+func (a *Array) Data() []float64 { return a.own() }
+
+// own returns storage that a alone references, forking shared storage.
+func (a *Array) own() []float64 {
+	if a.shared {
+		d := make([]float64, a.n)
+		copy(d, a.data)
+		a.data, a.shared = d, false
+	}
+	return a.Values()
+}
+
+// Freeze allocates a's storage and marks it shared, so that nothing but
+// a mutator writes to a again. Freeze an array before other goroutines
+// read or share it; a mutator on a frozen array still forks it, which
+// only its owner may do. Freeze returns a.
+func (a *Array) Freeze() *Array {
+	a.Values()
+	if !a.shared {
+		a.shared = true
+	}
+	return a
+}
+
+// Share returns a frozen view of a's storage. a is frozen too, so the
+// first write through either one forks it.
+func (a *Array) Share() *Array {
+	a.Freeze()
+	return &Array{elem: a.elem, n: a.n, data: a.data, shared: true}
+}
+
+// Adopt drops a's storage and shares src's instead, without any
+// rounding. The element precisions and lengths must match exactly. A
+// host-to-device write adopts the host array, and the incremental trial
+// evaluator adopts cached snapshots to restore them bit-for-bit without
+// re-running the conversion path.
+func (a *Array) Adopt(src *Array) {
+	if src.elem != a.elem {
+		panic(fmt.Sprintf("precision: Adopt element mismatch %v != %v", src.elem, a.elem))
+	}
+	if src.n != a.n {
+		panic(fmt.Sprintf("precision: Adopt length mismatch %d != %d", src.n, a.n))
+	}
+	a.adopt(src)
+}
+
+func (a *Array) adopt(src *Array) {
+	src.Freeze()
+	a.data, a.shared = src.data, true
 }
 
 // Convert returns a new Array at precision t whose elements are a's
-// elements rounded to t. Converting to the same precision still copies.
-// Widening conversions are pure copies: the stored values are already
-// exactly representable, so rounding at a wider type is the identity.
+// elements rounded to t. Same-precision and widening conversions share
+// a's storage: the stored values are already exactly representable, so
+// rounding at a wider type is the identity.
 func (a *Array) Convert(t Type) *Array {
-	c := NewArray(t, len(a.data))
 	if t >= a.elem {
-		copy(c.data, a.data)
+		c := a.Share()
+		c.elem = t
 		return c
 	}
-	RoundSlice(c.data, a.data, t)
-	return c
+	return FromSlice(t, a.Values())
 }
 
 // CopyFrom copies src into a (same length required), rounding each element
 // to a's precision. It models an in-place conversion into an existing
-// destination buffer. As in Convert, same-or-widening copies skip the
-// rounding pass entirely.
+// destination buffer. As in Convert, same-or-widening copies share src's
+// storage instead of copying it.
 func (a *Array) CopyFrom(src *Array) {
-	if len(src.data) != len(a.data) {
-		panic(fmt.Sprintf("precision: CopyFrom length mismatch %d != %d", len(src.data), len(a.data)))
+	if src.n != a.n {
+		panic(fmt.Sprintf("precision: CopyFrom length mismatch %d != %d", src.n, a.n))
 	}
 	if src.elem <= a.elem {
-		copy(a.data, src.data)
+		a.adopt(src)
 		return
 	}
-	RoundSlice(a.data, src.data, a.elem)
-}
-
-// CopyRawFrom copies src's contents into a without any rounding. The
-// element precisions and lengths must match exactly; it exists so the
-// incremental trial evaluator can restore cached buffer snapshots
-// bit-for-bit without re-running the conversion path.
-func (a *Array) CopyRawFrom(src *Array) {
-	if src.elem != a.elem {
-		panic(fmt.Sprintf("precision: CopyRawFrom element mismatch %v != %v", src.elem, a.elem))
-	}
-	if len(src.data) != len(a.data) {
-		panic(fmt.Sprintf("precision: CopyRawFrom length mismatch %d != %d", len(src.data), len(a.data)))
-	}
-	copy(a.data, src.data)
+	RoundSlice(a.own(), src.Values(), a.elem)
 }
 
 // Fill sets every element to v rounded to the element precision.
 func (a *Array) Fill(v float64) {
 	r := Round(v, a.elem)
-	for i := range a.data {
-		a.data[i] = r
+	d := a.own()
+	for i := range d {
+		d[i] = r
 	}
 }
 
@@ -335,7 +387,7 @@ func QualityArrays(ref, got []*Array) float64 {
 	var sum float64
 	var n int
 	for k := range ref {
-		r, g := ref[k].data, got[k].data
+		r, g := ref[k].Values(), got[k].Values()
 		if len(r) != len(g) {
 			panic("precision: QualityArrays length mismatch")
 		}

@@ -106,10 +106,10 @@ func TestArrayConvertClone(t *testing.T) {
 			t.Errorf("elem %d: %v != %v", i, h.Get(i), Round(src.Get(i), Half))
 		}
 	}
-	c := src.Clone()
+	c := src.Share()
 	c.Set(0, 7)
 	if src.Get(0) == 7 {
-		t.Error("Clone must not alias")
+		t.Error("a shared view must not alias on write")
 	}
 }
 

@@ -24,30 +24,6 @@ func TestRoundSliceBitExact(t *testing.T) {
 	}
 }
 
-func TestCopyRawFrom(t *testing.T) {
-	src := FromSlice(Half, []float64{1, 2, 3})
-	dst := NewArray(Half, 3)
-	dst.CopyRawFrom(src)
-	for i := 0; i < 3; i++ {
-		if dst.Get(i) != src.Get(i) {
-			t.Errorf("elem %d: %v != %v", i, dst.Get(i), src.Get(i))
-		}
-	}
-	for name, f := range map[string]func(){
-		"elem mismatch": func() { NewArray(Single, 3).CopyRawFrom(src) },
-		"len mismatch":  func() { NewArray(Half, 4).CopyRawFrom(src) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("CopyRawFrom %s must panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // TestConvertWideningIsExact pins the fast path: converting to the same
 // or a wider type must preserve every stored value bit-for-bit.
 func TestConvertWideningIsExact(t *testing.T) {

@@ -31,7 +31,8 @@ import (
 // the op would read exactly the same bytes — and since the simulated
 // runtime is deterministic, it would produce exactly the same outputs,
 // the same event durations, and the same dynamic counts. Replay restores
-// the cached outputs bit-for-bit (CopyRawFrom, no re-rounding) and
+// the cached outputs bit-for-bit by sharing the frozen snapshots (Adopt:
+// no copy, no re-rounding; a later write forks the live buffer) and
 // re-records the cached events through the queue, advancing the virtual
 // clock by the identical float64 duration sequence, so timing totals,
 // traces, and metrics are byte-identical to a live run.
@@ -75,8 +76,7 @@ type EvalCache struct {
 	bound    bool
 	sysName  string
 	wName    string
-	inputs   map[InputSet]map[string][]float64
-	hosts    map[hostKey]*precision.Array
+	hosts    map[InputSet]map[string]*precision.Array
 	zeros    map[zeroKey]uint64
 	ops      map[string]*opEntry
 	writes   map[*kir.Program][]bool
@@ -88,11 +88,6 @@ type EvalCache struct {
 	misses  atomic.Int64
 }
 
-type hostKey struct {
-	set InputSet
-	obj string
-}
-
 type zeroKey struct {
 	elem precision.Type
 	n    int
@@ -102,8 +97,7 @@ type zeroKey struct {
 // trials of one search.
 func NewEvalCache() *EvalCache {
 	return &EvalCache{
-		inputs:   map[InputSet]map[string][]float64{},
-		hosts:    map[hostKey]*precision.Array{},
+		hosts:    map[InputSet]map[string]*precision.Array{},
 		zeros:    map[zeroKey]uint64{},
 		ops:      map[string]*opEntry{},
 		writes:   map[*kir.Program][]bool{},
@@ -152,31 +146,18 @@ func (c *EvalCache) bind(sys *hw.System, w *Workload) error {
 	return nil
 }
 
-// inputsFor memoizes the workload's host input generation per input set.
-// The returned map is shared read-only across trials.
-func (c *EvalCache) inputsFor(w *Workload, set InputSet) map[string][]float64 {
+// hostsFor memoizes hostInputs per input set. Only the frozen arrays are
+// kept, so the raw MakeInputs slices are collected. The returned map and
+// its arrays are shared read-only across trials.
+func (c *EvalCache) hostsFor(w *Workload, set InputSet) map[string]*precision.Array {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m, ok := c.inputs[set]
+	m, ok := c.hosts[set]
 	if !ok {
-		m = w.MakeInputs(set)
-		c.inputs[set] = m
+		m = hostInputs(w, set)
+		c.hosts[set] = m
 	}
 	return m
-}
-
-// hostArray memoizes the original-precision host array for one input
-// object. ExecuteHtoD only reads it, so sharing across trials is safe.
-func (c *EvalCache) hostArray(set InputSet, obj string, t precision.Type, data []float64) *precision.Array {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := hostKey{set, obj}
-	if a, ok := c.hosts[k]; ok {
-		return a
-	}
-	a := precision.FromSlice(t, data)
-	c.hosts[k] = a
-	return a
 }
 
 // zeroVersion returns the shared content version for zero-filled buffers
@@ -267,7 +248,7 @@ type cachedEvent struct {
 
 // outSpec is one buffer the op (re)wrote: the kernel argument index (or
 // -1 for the buffer the op itself created, i.e. a Write's final buffer),
-// an immutable snapshot of its contents, and the version tag to restore.
+// a frozen snapshot sharing its contents, and the version tag to restore.
 type outSpec struct {
 	arg     int
 	data    *precision.Array
@@ -281,10 +262,13 @@ type opEntry struct {
 	outs    []outSpec
 	// final indexes created for the buffer a Write returns; -1 otherwise.
 	final int
-	// host is the read-back array of a Read op (cloned on every hit).
+	// host is the frozen read-back array of a Read op (shared on every
+	// hit).
 	host *precision.Array
 }
 
+// approxBytes counts each snapshot's elements at 8 bytes, whether or not
+// its storage is shared with another entry's.
 func (e *opEntry) approxBytes() int64 {
 	var n int64
 	for _, o := range e.outs {
@@ -407,8 +391,8 @@ func bufSpecs(created []*ocl.Buffer) []bufSpec {
 
 // replayEntry splices a cached op into the live execution: it re-creates
 // the op's buffers, re-records its events (rebinding buffer references
-// to live ids), restores the cached output contents and versions, and
-// returns the created buffers.
+// to live ids), shares the cached output snapshots into their buffers,
+// restores their versions, and returns the created buffers.
 func (x *Exec) replayEntry(e *opEntry, subject *ocl.Buffer, args []*ocl.Buffer) []*ocl.Buffer {
 	created := make([]*ocl.Buffer, len(e.created))
 	for i, bs := range e.created {
@@ -440,7 +424,7 @@ func (x *Exec) replayEntry(e *opEntry, subject *ocl.Buffer, args []*ocl.Buffer) 
 		} else {
 			b = created[e.final]
 		}
-		b.Array().CopyRawFrom(out.data)
+		b.Array().Adopt(out.data)
 		b.SetContentVersion(out.version)
 	}
 	return created
@@ -467,7 +451,7 @@ func (x *Exec) captureWrite(key string, createdStart, evStart int, buf *ocl.Buff
 	x.cache.insert(key, &opEntry{
 		created: bufSpecs(created),
 		events:  events,
-		outs:    []outSpec{{arg: -1, data: buf.Array().Clone(), version: ver}},
+		outs:    []outSpec{{arg: -1, data: buf.Array().Share(), version: ver}},
 		final:   final,
 	})
 }
@@ -489,8 +473,9 @@ func (x *Exec) captureLaunch(key string, createdStart, evStart int, outs []outSp
 }
 
 // captureRead records a just-executed Read op. subject is the device
-// buffer read; host is the resulting host array (cloned for the cache,
-// cloned again on every hit, so no sharing escapes).
+// buffer read; host is the resulting host array. The cache keeps a frozen
+// view of it and shares that again on every hit; every view forks on its
+// first write, so no write reaches the cache.
 func (x *Exec) captureRead(key string, createdStart, evStart int, subject *ocl.Buffer, host *precision.Array) {
 	created := x.created[createdStart:]
 	events, ok := mapEvents(x.q.EventsSince(evStart), created, subject)
@@ -501,7 +486,7 @@ func (x *Exec) captureRead(key string, createdStart, evStart int, subject *ocl.B
 		created: bufSpecs(created),
 		events:  events,
 		final:   -1,
-		host:    host.Clone(),
+		host:    host.Share(),
 	})
 }
 

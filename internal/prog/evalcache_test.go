@@ -1,12 +1,15 @@
 package prog
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/convert"
 	"repro/internal/hw"
+	"repro/internal/ocl"
 	"repro/internal/precision"
 )
 
@@ -269,6 +272,78 @@ func TestQualityNamedMatchesQuality(t *testing.T) {
 	empty := &Result{Outputs: map[string]*precision.Array{}}
 	if q := QualityNamed(SortedOutputNames(ref), ref, empty); q != Quality(ref, empty) {
 		t.Error("QualityNamed must match Quality for missing outputs")
+	}
+}
+
+// bufCollector records every device buffer a run creates, replayed ones
+// included.
+type bufCollector struct{ bufs []*ocl.Buffer }
+
+func (c *bufCollector) BufferCreated(b *ocl.Buffer) { c.bufs = append(c.bufs, b) }
+func (c *bufCollector) EventRecorded(ocl.Event)     {}
+
+// TestEvalCacheIsolatedFromWrites writes NaN through Data into every
+// output and every live device buffer of a cached run, then reruns from
+// the same cache: the rerun must still equal a plain run. The cache's
+// snapshots share storage with those arrays, so this fails if any
+// mutator writes shared storage without forking it.
+func TestEvalCacheIsolatedFromWrites(t *testing.T) {
+	sys := hw.System1()
+	// The reference walker stores through Set, the batch engine through
+	// Data.
+	for _, w := range []*Workload{testWorkload(256), aliasWorkload(256), onReference(aliasWorkload(256))} {
+		cache := NewEvalCache()
+		for _, cfg := range append(engineConfigs(w), nil) {
+			for round := 0; round < 2; round++ {
+				var live bufCollector
+				res, err := RunWithCache(sys, w, InputDefault, cfg, cache, &live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range res.Outputs {
+					poison(a.Data())
+				}
+				for _, b := range live.bufs {
+					poison(b.Array().Data())
+				}
+			}
+			runPair(t, sys, w, InputDefault, cfg, cache)
+		}
+		if st := cache.Stats(); st.Hits == 0 {
+			t.Fatalf("%s: reruns never hit the cache: %+v", w.Name, st)
+		}
+	}
+}
+
+func poison(d []float64) {
+	for i := range d {
+		d[i] = math.NaN()
+	}
+}
+
+// TestWarmTrialSharesSnapshots pins the copy-on-write gain: a fully
+// warmed cached trial splices every op by sharing its snapshots, so it
+// allocates less than one object's element storage per run.
+func TestWarmTrialSharesSnapshots(t *testing.T) {
+	const n = 1 << 12
+	w := testWorkload(n)
+	sys := hw.System1()
+	cache := NewEvalCache()
+	if _, err := RunWithCache(sys, w, InputDefault, nil, cache); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := RunWithCache(sys, w, InputDefault, nil, cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(n * 8); perRun >= limit {
+		t.Errorf("warm cached trial allocates %d B per run, want < %d B (one object's elements)", perRun, limit)
 	}
 }
 

@@ -278,7 +278,7 @@ type Exec struct {
 	cfg     *Config
 	ctx     *ocl.Context
 	q       *ocl.Queue
-	inputs  map[string][]float64
+	hosts   map[string]*precision.Array
 	bufs    map[string]*ocl.Buffer
 	outputs map[string]*precision.Array
 	evIdx   map[string]int
@@ -331,10 +331,10 @@ func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache 
 		set:     set,
 	}
 	if cache != nil {
-		x.inputs = cache.inputsFor(w, set)
+		x.hosts = cache.hostsFor(w, set)
 		x.ctx.AddHook(createdRecorder{x})
 	} else {
-		x.inputs = w.MakeInputs(set)
+		x.hosts = hostInputs(w, set)
 	}
 	for _, h := range hooks {
 		if h != nil {
@@ -354,6 +354,17 @@ func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache 
 	htod, kernel, dtoh := x.q.Breakdown()
 	res.HtoDTime, res.KernelTime, res.DtoHTime = htod, kernel, dtoh
 	return res, nil
+}
+
+// hostInputs generates w's inputs for set and rounds each to the original
+// precision, frozen so that every write shares it instead of copying it.
+func hostInputs(w *Workload, set InputSet) map[string]*precision.Array {
+	raw := w.MakeInputs(set)
+	m := make(map[string]*precision.Array, len(raw))
+	for obj, data := range raw {
+		m[obj] = precision.FromSlice(w.Original, data).Freeze()
+	}
+	return m
 }
 
 // objectConfig returns the configuration for obj with defaults filled in.
@@ -390,12 +401,12 @@ func (x *Exec) Write(obj string) error {
 	if spec == nil {
 		return fmt.Errorf("write: unknown object %q", obj)
 	}
-	data, ok := x.inputs[obj]
+	host, ok := x.hosts[obj]
 	if !ok {
 		return fmt.Errorf("write: no input data for object %q", obj)
 	}
-	if len(data) != spec.Len {
-		return fmt.Errorf("write: object %q input has %d elements, spec says %d", obj, len(data), spec.Len)
+	if host.Len() != spec.Len {
+		return fmt.Errorf("write: object %q input has %d elements, spec says %d", obj, host.Len(), spec.Len)
 	}
 	oc := x.objectConfig(obj)
 	storage := x.storageType(oc)
@@ -404,7 +415,6 @@ func (x *Exec) Write(obj string) error {
 	before := x.q.Now()
 	var buf *ocl.Buffer
 	if x.cache != nil {
-		host := x.cache.hostArray(x.set, obj, x.w.Original, data)
 		key := writeOpKey(x.set, obj, spec.Len, x.w.Original, storage, plan)
 		if e, ok := x.cache.lookup(key); ok {
 			buf = x.replayEntry(e, nil, nil)[e.final]
@@ -420,7 +430,6 @@ func (x *Exec) Write(obj string) error {
 			x.captureWrite(key, cs, es, buf, ver)
 		}
 	} else {
-		host := precision.FromSlice(x.w.Original, data)
 		b, err := convert.ExecuteHtoD(x.q, obj, host, storage, plan)
 		if err != nil {
 			return fmt.Errorf("write %q: %w", obj, err)
@@ -507,7 +516,7 @@ func (x *Exec) Launch(kernel string, global [2]int, objs []string, intArgs ...in
 				if i < len(wp) && wp[i] {
 					v := x.cache.nextVersion()
 					b.SetContentVersion(v)
-					outs = append(outs, outSpec{arg: i, data: b.Array().Clone(), version: v})
+					outs = append(outs, outSpec{arg: i, data: b.Array().Share(), version: v})
 				}
 			}
 			x.captureLaunch(key, cs, es, outs)
@@ -547,7 +556,7 @@ func (x *Exec) Read(obj string) error {
 		key := readOpKey(obj, b.Elem(), b.Len(), b.ContentVersion(), x.w.Original, plan)
 		if e, hit := x.cache.lookup(key); hit {
 			x.replayEntry(e, b, nil)
-			host = e.host.Clone()
+			host = e.host
 		} else {
 			cs, es := len(x.created), x.q.NumEvents()
 			h, err := convert.ExecuteDtoH(x.q, b, x.w.Original, plan)
@@ -564,7 +573,9 @@ func (x *Exec) Read(obj string) error {
 		}
 		host = h
 	}
-	x.outputs[obj] = host
+	// Every output is a frozen view, cached or not, so results compare
+	// equal field by field and a caller's write forks only its own view.
+	x.outputs[obj] = host.Share()
 	x.ops = append(x.ops, Op{
 		Kind: OpRead, Object: obj, Elems: b.Len(),
 		EventIndex: evIdx, Duration: x.q.Now() - before,
@@ -605,9 +616,9 @@ func QualityNamed(names []string, ref, res *Result) float64 {
 	var sum float64
 	var n int
 	for _, name := range names {
-		rd := ref.Outputs[name].Data()
+		rd := ref.Outputs[name].Values()
 		if g, ok := res.Outputs[name]; ok && g.Len() == len(rd) {
-			gd := g.Data()
+			gd := g.Values()
 			for i := range rd {
 				sum += precision.ElementError(rd[i], gd[i])
 			}

@@ -113,14 +113,14 @@ func ObjectErrors(w *Workload, ops []Op, ref, res *Result) map[string]float64 {
 	// mirror QualityNamed exactly.
 	outErr := make(map[string]float64, len(ref.Outputs))
 	for _, name := range SortedOutputNames(ref) {
-		rd := ref.Outputs[name].Data()
+		rd := ref.Outputs[name].Values()
 		if len(rd) == 0 {
 			outErr[name] = 0
 			continue
 		}
 		var sum float64
 		if g, ok := res.Outputs[name]; ok && g.Len() == len(rd) {
-			gd := g.Data()
+			gd := g.Values()
 			for i := range rd {
 				sum += precision.ElementError(rd[i], gd[i])
 			}

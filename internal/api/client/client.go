@@ -384,7 +384,16 @@ func (c *Client) stream(ctx context.Context, path string, opened func(), fn func
 	if opened != nil {
 		opened()
 	}
-	sc := bufio.NewScanner(resp.Body)
+	return readEvents(resp.Body, fn)
+}
+
+// readEvents reads server-sent event frames from r until it ends or fn
+// returns an error, calling fn with each frame's event name and data.
+// Lines end in LF or CRLF, a frame ends at a blank line, and a frame
+// that the stream cuts off before its blank line is dropped. A line may
+// be up to 8 MiB long.
+func readEvents(r io.Reader, fn func(event string, data []byte) error) error {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
 	var event string
 	var data []byte

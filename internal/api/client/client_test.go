@@ -1,12 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -164,5 +166,65 @@ func TestEventsSplitFrames(t *testing.T) {
 	want := []event{{"opened", ""}, {"trial", `{"trial":1}`}, {"trial", `{"trial":2}`}, {"done", `{}`}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("events = %q, want %q", got, want)
+	}
+}
+
+// FuzzReadEvents feeds the SSE frame reader arbitrary bytes, which must
+// never panic, and a frame in the format serveEvents writes (an event
+// line, a data line and a blank line, with LF or CRLF line endings)
+// followed by a terminal frame, which must come back as exactly those
+// two events.
+func FuzzReadEvents(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte, name, data string, crlf bool) {
+		stop := errors.New("stop")
+		calls := 0
+		err := readEvents(bytes.NewReader(stream), func(string, []byte) error {
+			calls++
+			return stop
+		})
+		if calls > 1 || (calls == 1) != (err == stop) {
+			t.Fatalf("fn called %d times, then readEvents returned %v", calls, err)
+		}
+
+		if strings.ContainsAny(name+data, "\r\n") {
+			return
+		}
+		eol := "\n"
+		if crlf {
+			eol = "\r\n"
+		}
+		frames := fmt.Sprintf("event: %s%sdata: %s%s%sevent: done%sdata: {}%s%s", name, eol, data, eol, eol, eol, eol, eol)
+		type event struct{ name, data string }
+		var got []event
+		if err := readEvents(strings.NewReader(frames), func(name string, data []byte) error {
+			got = append(got, event{name, string(data)})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []event{{name, data}, {"done", "{}"}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("events = %q, want %q", got, want)
+		}
+	})
+}
+
+// A frame the stream cuts off before its blank line is dropped, as the
+// SSE spec asks, and CRLF line endings read like LF.
+func TestReadEventsFraming(t *testing.T) {
+	for _, c := range []struct{ stream, want string }{
+		{"event: trial\ndata: 1\n\nevent: done\ndata: {}\n", "trial=1;"},
+		{"event: trial\r\ndata: 1\r\n\r\nevent: done\r\ndata: {}\r\n\r\n", "trial=1;done={};"},
+		{"data: x\n\n: comment\n\nevent: e\n\n", "=x;e=;"},
+	} {
+		var got strings.Builder
+		if err := readEvents(strings.NewReader(c.stream), func(name string, data []byte) error {
+			fmt.Fprintf(&got, "%s=%s;", name, data)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != c.want {
+			t.Errorf("readEvents(%q) = %q, want %q", c.stream, got.String(), c.want)
+		}
 	}
 }

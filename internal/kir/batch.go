@@ -12,13 +12,14 @@ import (
 // This file implements the vectorized strip engine that Run uses. The
 // NDRange is flattened and executed in fixed-size strips of work items;
 // each virtual register becomes a column (one slot per lane), and every
-// instruction runs as a tight loop over the currently-active lane list.
-// Control flow uses lane masking: a loop keeps iterating the lanes whose
-// head condition still holds, an if partitions lanes into then/else
-// lists. Because every lane executes exactly the instruction sequence
-// the reference tree walker (see Reference) would execute for that work
-// item — same rounding primitives, same operation charging — buffers,
-// counts, and errors are bit-for-bit identical between the engines.
+// instruction runs as a tight loop over each contiguous run of the
+// active lane list. Control flow uses lane masking: a loop keeps
+// iterating the lanes whose head condition still holds, an if partitions
+// lanes into then/else lists. Because every lane executes exactly the
+// instruction sequence the reference tree walker (see Reference) would
+// execute for that work item — same rounding primitives, same operation
+// charging — buffers, counts, and errors are bit-for-bit identical
+// between the engines.
 
 // DefaultStrip is the number of work items per batch strip when
 // ExecEnv.Strip is zero. 256 lanes keep the whole register-file arena in
@@ -40,10 +41,13 @@ type laneFault struct {
 	err  error
 }
 
+// laneSpan is one contiguous run of active lanes, [lo, lo+n).
+type laneSpan struct{ lo, n int }
+
 // batchState is the reusable per-launch arena: register columns, gid
-// columns, lane-list scratch for nested control flow, and per-lane death
-// tracking. States are pooled on the batchProg so steady-state execution
-// allocates nothing per work item.
+// columns, lane-list scratch for nested control flow, the run buffer, and
+// per-lane death tracking. States are pooled on the batchProg so
+// steady-state execution allocates nothing per work item.
 type batchState struct {
 	strip      int
 	icols      [][]int64
@@ -52,6 +56,7 @@ type batchState struct {
 	ident      []int32   // identity lane list 0..strip-1
 	scratch    [][]int32 // lane-list stack for nested loops/ifs
 	scratchTop int
+	runs       []laneSpan // split's buffer, capacity strip
 
 	dead        []bool
 	anyDead     bool
@@ -88,6 +93,7 @@ func newBatchState(bp *batchProg, strip int) *batchState {
 	for i := range st.scratch {
 		st.scratch[i] = make([]int32, strip)
 	}
+	st.runs = make([]laneSpan, 0, strip)
 	st.dead = make([]bool, strip)
 	return st
 }
@@ -121,6 +127,34 @@ func (st *batchState) pushLanes() []int32 {
 }
 
 func (st *batchState) popLanes() { st.scratchTop-- }
+
+// split cuts an ascending lane list into its maximal runs of
+// consecutive lanes, in ascending order. Lanes are distinct, so
+// lanes[j]-lanes[0] >= j, with equality exactly while lanes[0..j] is one
+// run: a one-run list costs one compare, and each further run a binary
+// search. The runs live in the arena's one buffer until the next split:
+// seq and a divergent loop head step every run of one instruction
+// before anything else splits, so nothing nests.
+func (st *batchState) split(lanes []int32) []laneSpan {
+	runs := st.runs[:0]
+	for len(lanes) > 0 {
+		lo, n := lanes[0], len(lanes)
+		if int(lanes[n-1]-lo) != n-1 {
+			i, j := 1, n-1 // lanes[0] is in the run, lanes[n-1] is not
+			for i < j {
+				if h := int(uint(i+j) >> 1); int(lanes[h]-lo) == h {
+					i = h + 1
+				} else {
+					j = h
+				}
+			}
+			n = i
+		}
+		runs = append(runs, laneSpan{int(lo), n})
+		lanes = lanes[n:]
+	}
+	return runs
+}
 
 // minFault returns the recorded fault with the smallest lane index: the
 // error the tree engine would have hit first.
@@ -223,18 +257,11 @@ func (r *batchRun) exec(nodes []bnode, lanes []int32) []int32 {
 	return lanes
 }
 
-// laneRun reports whether the non-empty ascending lane list is one
-// contiguous run lanes[0]..lanes[0]+n-1, and returns its first lane. A
-// run executes on stepDense's contiguous column loops
-// (bounds-check-eliminated, cache-linear) instead of indirecting through
-// the lane list.
-func laneRun(lanes []int32) (lo int, dense bool) {
-	n := len(lanes)
-	return int(lanes[0]), int(lanes[n-1]-lanes[0]) == n-1
-}
-
-// seq executes a straight-line instruction span, compacting the lane
-// list whenever an instruction faulted some lanes. IParam and GID are
+// seq executes a straight-line instruction span over the runs of the
+// lane list, stepping every run of one instruction before the next
+// instruction starts, so lanes see memory, faults and charges in
+// ascending lane order. It compacts the lane list and splits it again
+// whenever an instruction faulted some lanes. IParam and GID are
 // skipped: the lowerer gives each a fresh temp that no other
 // instruction writes (variables are written through IMov, and LVN only
 // rewrites an instruction in place to IMov or Nop), so run fills an
@@ -242,14 +269,14 @@ func laneRun(lanes []int32) (lo int, dense bool) {
 // register to its gid column.
 func (r *batchRun) seq(nd *bnode, lanes []int32) []int32 {
 	code := r.bp.p.code
-	lo, dense := laneRun(lanes)
+	runs := r.st.split(lanes)
 	for pc := nd.lo; pc < nd.hi; pc++ {
 		in := &code[pc]
 		if in.op == opIParam || in.op == opGID {
 			continue
 		}
-		if !dense || !r.stepDense(in, pc, lo, len(lanes)) {
-			r.step(in, pc, lanes)
+		for _, s := range runs {
+			r.step(in, pc, s.lo, s.n)
 		}
 		if r.st.pendingDead {
 			r.st.pendingDead = false
@@ -257,7 +284,7 @@ func (r *batchRun) seq(nd *bnode, lanes []int32) []int32 {
 			if len(lanes) == 0 {
 				break
 			}
-			lo, dense = laneRun(lanes)
+			runs = r.st.split(lanes)
 		}
 	}
 	return lanes
@@ -300,7 +327,9 @@ func (r *batchRun) loop(nd *bnode, lanes []int32) {
 	}
 	cond := st.icols[head.dst]
 	for len(cur) > 0 {
-		r.step(head, nd.pc, cur) // head ICmp: charges intOps, never faults
+		for _, s := range st.split(cur) {
+			r.step(head, nd.pc, s.lo, s.n) // head ICmp: charges intOps, never faults
+		}
 		m := 0
 		for _, l := range cur {
 			if cond[l] != 0 {
@@ -370,85 +399,10 @@ func (r *batchRun) faultOOB(what string, buf, idx int64, l int32) {
 	r.fault(l, fmt.Errorf("%s %s[%d] out of bounds (len %d)", what, r.bp.p.Kernel.Bufs[buf].Name, idx, r.env.Bufs[buf].Len()))
 }
 
-// roundLanes rounds a column's active lanes to precision p, using the
+// roundRun rounds a column pre-cut to a run to precision p, using the
 // same primitives as round() so results stay bit-identical. Double and
 // untyped are the identity and skip the pass entirely.
-func roundLanes(col []float64, lanes []int32, p precision.Type) {
-	switch p {
-	case precision.Half:
-		for _, l := range lanes {
-			col[l] = fp16.Round(col[l])
-		}
-	case precision.Single:
-		for _, l := range lanes {
-			col[l] = float64(float32(col[l]))
-		}
-	}
-}
-
-// cmpIntLanes evaluates an integer compare over lanes with the
-// comparison dispatch hoisted out of the lane loop.
-func cmpIntLanes(dst, a, b []int64, lanes []int32, op CmpOp) {
-	switch op {
-	case CmpLT:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] < b[l])
-		}
-	case CmpLE:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] <= b[l])
-		}
-	case CmpGT:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] > b[l])
-		}
-	case CmpGE:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] >= b[l])
-		}
-	case CmpEQ:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] == b[l])
-		}
-	default:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] != b[l])
-		}
-	}
-}
-
-// cmpFloatLanes is cmpIntLanes for the float register file.
-func cmpFloatLanes(dst []int64, a, b []float64, lanes []int32, op CmpOp) {
-	switch op {
-	case CmpLT:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] < b[l])
-		}
-	case CmpLE:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] <= b[l])
-		}
-	case CmpGT:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] > b[l])
-		}
-	case CmpGE:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] >= b[l])
-		}
-	case CmpEQ:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] == b[l])
-		}
-	default:
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] != b[l])
-		}
-	}
-}
-
-// roundDense is roundLanes over a run, col pre-cut to it.
-func roundDense(col []float64, p precision.Type) {
+func roundRun(col []float64, p precision.Type) {
 	switch p {
 	case precision.Half:
 		for i, v := range col {
@@ -461,8 +415,10 @@ func roundDense(col []float64, p precision.Type) {
 	}
 }
 
-// cmpIntDense is cmpIntLanes over a run, every column pre-cut to it.
-func cmpIntDense(dst, a, b []int64, op CmpOp) {
+// cmpIntRun evaluates an integer compare over a run, every column
+// pre-cut to it, with the comparison dispatch hoisted out of the lane
+// loop.
+func cmpIntRun(dst, a, b []int64, op CmpOp) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	switch op {
 	case CmpLT:
@@ -492,8 +448,8 @@ func cmpIntDense(dst, a, b []int64, op CmpOp) {
 	}
 }
 
-// cmpFloatDense is cmpFloatLanes over a run, every column pre-cut to it.
-func cmpFloatDense(dst []int64, a, b []float64, op CmpOp) {
+// cmpFloatRun is cmpIntRun for the float register file.
+func cmpFloatRun(dst []int64, a, b []float64, op CmpOp) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	switch op {
 	case CmpLT:
@@ -523,14 +479,14 @@ func cmpFloatDense(dst []int64, a, b []float64, op CmpOp) {
 	}
 }
 
-// stepDense executes one instruction over the run of lanes [lo, lo+n)
-// with contiguous column slices: the compiler eliminates the bounds
-// checks (all slices are pre-cut to the run) and the indirection through
-// the lane list disappears. Semantics, rounding, and charging are
-// identical to step. Returns false for opcodes it does not specialize
-// (the caller then runs the generic indirect path, which is always
-// correct for runs too).
-func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
+// step executes one instruction over the run of lanes [lo, lo+n) with
+// contiguous column slices: the compiler eliminates the bounds checks
+// (all slices are pre-cut to the run). pc indexes the specialization's
+// static precision tape. Operation charging matches runItem exactly: the
+// same opcodes count, with the same weights, once per executed lane.
+// (Lanes that fault mid-instruction may be charged for it; that is
+// unobservable because a fault always discards the launch's counts.)
+func (r *batchRun) step(in *inst, pc int, lo, n int) {
 	st := r.st
 	hi := lo + n
 	nf := float64(n)
@@ -617,7 +573,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 			dst[i] = a[i] + b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, p)
+		roundRun(dst, p)
 		r.flops[p] += nf
 	case opFSub:
 		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
@@ -625,7 +581,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 			dst[i] = a[i] - b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, p)
+		roundRun(dst, p)
 		r.flops[p] += nf
 	case opFMul:
 		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
@@ -633,7 +589,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 			dst[i] = a[i] * b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, p)
+		roundRun(dst, p)
 		r.flops[p] += nf
 	case opFDiv:
 		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
@@ -641,7 +597,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 			dst[i] = a[i] / b[i]
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, p)
+		roundRun(dst, p)
 		r.flops[p] += weightDiv * nf
 	case opFFMA:
 		dst, a, b, c := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi], st.fcols[in.c][lo:hi]
@@ -649,7 +605,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 			dst[i] = math.FMA(a[i], b[i], c[i])
 		}
 		p := r.bp.prec[pc]
-		roundDense(dst, p)
+		roundRun(dst, p)
 		r.flops[p] += nf
 	case opItoF:
 		dst, a := st.fcols[in.dst][lo:hi], st.icols[in.a][lo:hi]
@@ -669,7 +625,7 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 			dst[i] = data[ix]
 		}
 		if r.converts[in.imm] {
-			roundDense(dst, r.computeAs[in.imm])
+			roundRun(dst, r.computeAs[in.imm])
 			r.convOps += nf
 		}
 		r.loadB += r.sizes[in.imm] * nf
@@ -710,10 +666,10 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 		r.storeB += r.sizes[in.imm] * nf
 
 	case opICmp:
-		cmpIntDense(st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi], in.cmp)
+		cmpIntRun(st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi], in.cmp)
 		r.intOps += nf
 	case opFCmp:
-		cmpFloatDense(st.icols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi], in.cmp)
+		cmpFloatRun(st.icols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi], in.cmp)
 		r.intOps += nf
 	case opSelI:
 		dst, c, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi], st.icols[in.c][lo:hi]
@@ -737,330 +693,115 @@ func (r *batchRun) stepDense(in *inst, pc int, lo, n int) bool {
 		r.intOps += nf
 
 	default:
-		// opNop, faulting integer div/mod, unary float math, booleans:
-		// the generic indirect path handles them.
-		return false
+		r.stepCold(in, pc, lo, n)
 	}
-	return true
 }
 
-// step executes one instruction over the active lanes. pc indexes the
-// specialization's static precision tape. Operation charging matches
-// runItem exactly: the same opcodes count, with the same weights, once
-// per executed lane. (Lanes that fault mid-instruction may be charged
-// for it; that is unobservable because a fault always discards the
-// launch's counts.)
-func (r *batchRun) step(in *inst, pc int, lanes []int32) {
+// stepCold is step for the opcodes the suite's hot loops do not run:
+// nop, integer division and modulo (which fault on a zero divisor),
+// float min, max, negation, absolute value, square root and the
+// transcendentals, the booleans, and the unknown-opcode fault. Keeping
+// them out of line keeps step's switch to the hot opcodes.
+func (r *batchRun) stepCold(in *inst, pc int, lo, n int) {
 	st := r.st
-	n := float64(len(lanes))
+	hi := lo + n
+	nf := float64(n)
 	switch in.op {
 	case opNop:
 
-	case opIConst:
-		dst, v := st.icols[in.dst], in.imm
-		for _, l := range lanes {
-			dst[l] = v
-		}
-	case opIMov:
-		dst, a := st.icols[in.dst], st.icols[in.a]
-		for _, l := range lanes {
-			dst[l] = a[l]
-		}
-	case opIAdd:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] + b[l]
-		}
-		r.intOps += n
-	case opIAddImm:
-		dst, a, v := st.icols[in.dst], st.icols[in.a], in.imm
-		for _, l := range lanes {
-			dst[l] = a[l] + v
-		}
-		r.intOps += n
-	case opISub:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] - b[l]
-		}
-		r.intOps += n
-	case opIMul:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] * b[l]
-		}
-		r.intOps += n
 	case opIDiv:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			d := b[l]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+		for i, d := range b {
 			if d == 0 {
-				r.fault(l, errDivZero)
+				r.fault(int32(lo+i), errDivZero)
 				continue
 			}
-			dst[l] = a[l] / d
+			dst[i] = a[i] / d
 		}
-		r.intOps += n
+		r.intOps += nf
 	case opIMod:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			d := b[l]
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+		for i, d := range b {
 			if d == 0 {
-				r.fault(l, errModZero)
+				r.fault(int32(lo+i), errModZero)
 				continue
 			}
-			dst[l] = a[l] % d
+			dst[i] = a[i] % d
 		}
-		r.intOps += n
-	case opIMin:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			v, w := a[l], b[l]
-			if w < v {
-				v = w
-			}
-			dst[l] = v
-		}
-		r.intOps += n
-	case opIMax:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			v, w := a[l], b[l]
-			if w > v {
-				v = w
-			}
-			dst[l] = v
-		}
-		r.intOps += n
-	case opINeg:
-		dst, a := st.icols[in.dst], st.icols[in.a]
-		for _, l := range lanes {
-			dst[l] = -a[l]
-		}
-		r.intOps += n
-	case opIAbs:
-		dst, a := st.icols[in.dst], st.icols[in.a]
-		for _, l := range lanes {
-			v := a[l]
-			if v < 0 {
-				v = -v
-			}
-			dst[l] = v
-		}
-		r.intOps += n
+		r.intOps += nf
 
-	case opFConst:
-		dst, v := st.fcols[in.dst], in.fimm
-		for _, l := range lanes {
-			dst[l] = v
-		}
-	case opFMov:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		for _, l := range lanes {
-			dst[l] = a[l]
-		}
-	case opFAdd:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] + b[l]
-		}
-		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += n
-	case opFSub:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] - b[l]
-		}
-		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += n
-	case opFMul:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] * b[l]
-		}
-		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += n
-	case opFDiv:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		for _, l := range lanes {
-			dst[l] = a[l] / b[l]
-		}
-		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += weightDiv * n
 	case opFMin:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		for _, l := range lanes {
-			dst[l] = math.Min(a[l], b[l])
+		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
+		for i := range dst {
+			dst[i] = math.Min(a[i], b[i])
 		}
 		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += n
+		roundRun(dst, p)
+		r.flops[p] += nf
 	case opFMax:
-		dst, a, b := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b]
-		for _, l := range lanes {
-			dst[l] = math.Max(a[l], b[l])
+		dst, a, b := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi], st.fcols[in.b][lo:hi]
+		for i := range dst {
+			dst[i] = math.Max(a[i], b[i])
 		}
 		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += n
+		roundRun(dst, p)
+		r.flops[p] += nf
 	case opFNeg:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		for _, l := range lanes {
-			dst[l] = -a[l]
+		dst, a := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi]
+		for i := range dst {
+			dst[i] = -a[i]
 		}
-		r.flops[r.bp.prec[pc]] += n
+		r.flops[r.bp.prec[pc]] += nf
 	case opFAbs:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		for _, l := range lanes {
-			dst[l] = math.Abs(a[l])
+		dst, a := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi]
+		for i := range dst {
+			dst[i] = math.Abs(a[i])
 		}
-		r.flops[r.bp.prec[pc]] += n
+		r.flops[r.bp.prec[pc]] += nf
 	case opFSqrt:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		for _, l := range lanes {
-			dst[l] = math.Sqrt(a[l])
+		dst, a := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi]
+		for i := range dst {
+			dst[i] = math.Sqrt(a[i])
 		}
 		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += weightSqrt * n
+		roundRun(dst, p)
+		r.flops[p] += weightSqrt * nf
 	case opFExp:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		for _, l := range lanes {
-			dst[l] = math.Exp(a[l])
+		dst, a := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi]
+		for i := range dst {
+			dst[i] = math.Exp(a[i])
 		}
 		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += weightTrans * n
+		roundRun(dst, p)
+		r.flops[p] += weightTrans * nf
 	case opFLog:
-		dst, a := st.fcols[in.dst], st.fcols[in.a]
-		for _, l := range lanes {
-			dst[l] = math.Log(a[l])
+		dst, a := st.fcols[in.dst][lo:hi], st.fcols[in.a][lo:hi]
+		for i := range dst {
+			dst[i] = math.Log(a[i])
 		}
 		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += weightTrans * n
-	case opFFMA:
-		dst, a, b, c := st.fcols[in.dst], st.fcols[in.a], st.fcols[in.b], st.fcols[in.c]
-		for _, l := range lanes {
-			dst[l] = math.FMA(a[l], b[l], c[l])
-		}
-		p := r.bp.prec[pc]
-		roundLanes(dst, lanes, p)
-		r.flops[p] += n
-	case opItoF:
-		dst, a := st.fcols[in.dst], st.icols[in.a]
-		for _, l := range lanes {
-			dst[l] = float64(a[l])
-		}
+		roundRun(dst, p)
+		r.flops[p] += weightTrans * nf
 
-	case opLoad:
-		data := r.env.Bufs[in.imm].Values()
-		bound := int64(len(data))
-		idx, dst := st.icols[in.a], st.fcols[in.dst]
-		for _, l := range lanes {
-			i := idx[l]
-			if uint64(i) >= uint64(bound) {
-				r.faultOOB("load", in.imm, i, l)
-				continue
-			}
-			dst[l] = data[i]
-		}
-		if r.converts[in.imm] {
-			roundLanes(dst, lanes, r.computeAs[in.imm])
-			r.convOps += n
-		}
-		r.loadB += r.sizes[in.imm] * n
-	case opStore:
-		buf := r.env.Bufs[in.imm]
-		data := buf.Data()
-		bound := int64(len(data))
-		idx, val := st.icols[in.a], st.fcols[in.b]
-		// Storage-precision rounding dispatch hoisted out of the lane
-		// loop; same primitives as Array.Set.
-		switch buf.Elem() {
-		case precision.Half:
-			for _, l := range lanes {
-				i := idx[l]
-				if uint64(i) >= uint64(bound) {
-					r.faultOOB("store", in.imm, i, l)
-					continue
-				}
-				data[i] = fp16.Round(val[l])
-			}
-		case precision.Single:
-			for _, l := range lanes {
-				i := idx[l]
-				if uint64(i) >= uint64(bound) {
-					r.faultOOB("store", in.imm, i, l)
-					continue
-				}
-				data[i] = float64(float32(val[l]))
-			}
-		default:
-			for _, l := range lanes {
-				i := idx[l]
-				if uint64(i) >= uint64(bound) {
-					r.faultOOB("store", in.imm, i, l)
-					continue
-				}
-				data[i] = val[l]
-			}
-		}
-		if r.converts[in.imm] {
-			r.convOps += n
-		}
-		r.storeB += r.sizes[in.imm] * n
-
-	case opICmp:
-		cmpIntLanes(st.icols[in.dst], st.icols[in.a], st.icols[in.b], lanes, in.cmp)
-		r.intOps += n
-	case opFCmp:
-		cmpFloatLanes(st.icols[in.dst], st.fcols[in.a], st.fcols[in.b], lanes, in.cmp)
-		r.intOps += n
 	case opBAnd:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] != 0 && b[l] != 0)
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+		for i := range dst {
+			dst[i] = boolToInt(a[i] != 0 && b[i] != 0)
 		}
-		r.intOps += n
+		r.intOps += nf
 	case opBOr:
-		dst, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b]
-		for _, l := range lanes {
-			dst[l] = boolToInt(a[l] != 0 || b[l] != 0)
+		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+		for i := range dst {
+			dst[i] = boolToInt(a[i] != 0 || b[i] != 0)
 		}
-		r.intOps += n
-
-	case opSelI:
-		dst, c, a, b := st.icols[in.dst], st.icols[in.a], st.icols[in.b], st.icols[in.c]
-		for _, l := range lanes {
-			if c[l] != 0 {
-				dst[l] = a[l]
-			} else {
-				dst[l] = b[l]
-			}
-		}
-		r.intOps += n
-	case opSelF:
-		dst, c, a, b := st.fcols[in.dst], st.icols[in.a], st.fcols[in.b], st.fcols[in.c]
-		for _, l := range lanes {
-			if c[l] != 0 {
-				dst[l] = a[l]
-			} else {
-				dst[l] = b[l]
-			}
-		}
-		r.intOps += n
+		r.intOps += nf
 
 	default:
 		// Unreachable for lowerer-produced programs (jumps never appear
 		// inside bSeq spans); mirror the tree engine's error if it ever
 		// happens.
-		for _, l := range lanes {
-			r.fault(l, fmt.Errorf("unknown opcode %d", in.op))
+		for l := lo; l < hi; l++ {
+			r.fault(int32(l), fmt.Errorf("unknown opcode %d", in.op))
 		}
 	}
 }

@@ -377,6 +377,51 @@ func TestBatchDifferentialStripSizes(t *testing.T) {
 	}
 }
 
+// TestSplitRuns pins the run splitter on the lane-list shapes the engine
+// meets: one run anywhere in the strip, gaps at either end, one-lane
+// runs, and every other lane, which no suite kernel produces but the
+// data-divergent diffKernels reach.
+func TestSplitRuns(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		lanes []int32
+		want  []laneSpan
+	}{
+		{"whole-strip", []int32{0, 1, 2, 3}, []laneSpan{{0, 4}}},
+		{"one-run-at-offset", []int32{5, 6, 7, 8, 9}, []laneSpan{{5, 5}}},
+		{"one-lane", []int32{9}, []laneSpan{{9, 1}}},
+		{"gaps-at-both-ends", []int32{2, 3, 4, 7, 8, 12}, []laneSpan{{2, 3}, {7, 2}, {12, 1}}},
+		{"one-lane-runs", []int32{0, 2, 3, 5, 9, 10, 11}, []laneSpan{{0, 1}, {2, 2}, {5, 1}, {9, 3}}},
+		{"every-other-lane", []int32{1, 3, 5, 7, 9, 11}, []laneSpan{{1, 1}, {3, 1}, {5, 1}, {7, 1}, {9, 1}, {11, 1}}},
+		{"empty", nil, []laneSpan{}},
+	} {
+		st := &batchState{runs: make([]laneSpan, 0, 16)}
+		if got := st.split(c.lanes); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: split(%v) = %v, want %v", c.name, c.lanes, got, c.want)
+		}
+	}
+	// Every subset of a 12-lane strip against a lane-by-lane scan.
+	st := &batchState{runs: make([]laneSpan, 0, 12)}
+	for mask := 0; mask < 1<<12; mask++ {
+		var lanes []int32
+		want := []laneSpan{}
+		for l := 0; l < 12; l++ {
+			if mask>>l&1 == 0 {
+				continue
+			}
+			if k := len(want) - 1; k >= 0 && want[k].lo+want[k].n == l {
+				want[k].n++
+			} else {
+				want = append(want, laneSpan{l, 1})
+			}
+			lanes = append(lanes, int32(l))
+		}
+		if got := st.split(lanes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("split(%v) = %v, want %v", lanes, got, want)
+		}
+	}
+}
+
 // TestBatchFaultIdentity checks that runtime faults — out-of-bounds
 // accesses and integer division by zero — surface the same error text as
 // the tree engine, including which work item faults first when a strip

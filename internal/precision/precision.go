@@ -183,11 +183,23 @@ func NewArray(t Type, n int) *Array {
 	return &Array{elem: t, n: n}
 }
 
-// FromSlice builds an Array at precision t containing vals, each rounded
-// to t.
+// FromSlice builds an Array at precision t containing a copy of vals,
+// each rounded to t. vals is left as it was.
 func FromSlice(t Type, vals []float64) *Array {
 	a := NewArray(t, len(vals))
 	RoundSlice(a.Values(), vals, t)
+	return a
+}
+
+// Wrap rounds vals to t in place and returns an Array that owns vals as
+// its storage, without copying it. The caller hands vals over: it must
+// not read or write vals afterwards.
+func Wrap(t Type, vals []float64) *Array {
+	a := NewArray(t, len(vals))
+	if t != Double { // rounding to Double is the identity
+		RoundSlice(vals, vals, t)
+	}
+	a.data = vals
 	return a
 }
 

@@ -113,6 +113,35 @@ func TestArrayConvertClone(t *testing.T) {
 	}
 }
 
+// FromSlice copies and leaves its argument alone; Wrap rounds its
+// argument in place and keeps it as the array's storage.
+func TestWrapRoundsInPlace(t *testing.T) {
+	vals := []float64{1, math.Pi, 2048.5, 1e-9}
+	want := make([]float64, len(vals))
+	for i, v := range vals {
+		want[i] = Round(v, Half)
+	}
+	c := FromSlice(Half, vals)
+	if vals[1] != math.Pi || &c.Values()[0] == &vals[0] {
+		t.Fatal("FromSlice must copy and leave its argument unrounded")
+	}
+	w := Wrap(Half, vals)
+	if &w.Values()[0] != &vals[0] {
+		t.Fatal("Wrap copied its argument")
+	}
+	for i := range want {
+		if vals[i] != want[i] || w.Get(i) != want[i] || c.Get(i) != want[i] {
+			t.Errorf("elem %d: wrapped %v, FromSlice %v, want %v", i, w.Get(i), c.Get(i), want[i])
+		}
+	}
+	if d := Wrap(Double, []float64{math.Pi}); d.Get(0) != math.Pi {
+		t.Errorf("Wrap at Double changed a value: %v", d.Get(0))
+	}
+	if Wrap(Single, nil).Len() != 0 || len(Wrap(Single, nil).Values()) != 0 {
+		t.Error("Wrap of nil must be an empty array")
+	}
+}
+
 func TestArrayCopyFromFill(t *testing.T) {
 	dst := NewArray(Half, 3)
 	src := FromSlice(Double, []float64{1, 2, 3.0001})

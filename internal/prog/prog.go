@@ -112,7 +112,9 @@ type Workload struct {
 	// Kernels maps kernel names to compiled programs.
 	Kernels map[string]*kir.Program
 	// MakeInputs returns host data for every Input/InOut object. It must
-	// be deterministic per input set.
+	// be deterministic per input set, and each call must return fresh
+	// slices: the executor takes them over, rounds them in place and
+	// shares them between runs, so the generator must not keep them.
 	MakeInputs func(set InputSet) map[string][]float64
 	// Script drives the program: writes, launches, reads.
 	Script func(x *Exec) error
@@ -356,13 +358,14 @@ func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache 
 	return res, nil
 }
 
-// hostInputs generates w's inputs for set and rounds each to the original
-// precision, frozen so that every write shares it instead of copying it.
+// hostInputs generates w's inputs for set and rounds each, in place, to
+// the original precision, frozen so that every write shares it instead
+// of copying it.
 func hostInputs(w *Workload, set InputSet) map[string]*precision.Array {
 	raw := w.MakeInputs(set)
 	m := make(map[string]*precision.Array, len(raw))
 	for obj, data := range raw {
-		m[obj] = precision.FromSlice(w.Original, data).Freeze()
+		m[obj] = precision.Wrap(w.Original, data).Freeze()
 	}
 	return m
 }

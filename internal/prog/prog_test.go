@@ -2,6 +2,7 @@ package prog
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/convert"
@@ -62,6 +63,30 @@ func testWorkload(n int) *Workload {
 			}
 			return x.Read("c")
 		},
+	}
+}
+
+// hostInputs takes over the slices MakeInputs returns instead of
+// rounding them into copies: generating a workload's inputs allocates
+// their bytes once, not twice. The minimum of three rounds discounts
+// allocations from other goroutines.
+func TestHostInputsAllocateOnce(t *testing.T) {
+	const n = 1 << 16
+	w := testWorkload(n)
+	inputBytes := uint64(2 * n * 8) // a and b, float64 each
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		in := hostInputs(w, InputDefault)
+		runtime.ReadMemStats(&after)
+		if len(in) != 2 || in["a"].Len() != n {
+			t.Fatalf("hostInputs returned %d objects", len(in))
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if 2*best >= 3*inputBytes {
+		t.Fatalf("hostInputs allocated %d bytes for %d bytes of inputs; want under 1.5x", best, inputBytes)
 	}
 }
 

@@ -39,8 +39,9 @@ type interpBenchSpec struct {
 // tapes are static only because their accumulator loops are known to
 // run: mm2_k1 (bare alpha*acc epilogue), covar_mat (launch-constant
 // inner loop under a divergent one) and gesummv (two accumulators), and
-// two boundary ifs: conv3d (a counted loop inside the if, several runs
-// per strip) and fdtd_step3 (one run per strip).
+// two boundary ifs: conv3d (a counted loop inside the if, whose 64-wide
+// rows split each 256-lane strip into four runs that step one after
+// another) and fdtd_step3 (one run per strip).
 func interpBenchSpecs() []interpBenchSpec {
 	gemm := polybench.Gemm(104)
 	conv := polybench.TwoDConv(256, 256)

@@ -89,10 +89,6 @@ func newBatchState(bp *batchProg, strip int) *batchState {
 	for i := range st.ident {
 		st.ident[i] = int32(i)
 	}
-	st.scratch = make([][]int32, bp.depth)
-	for i := range st.scratch {
-		st.scratch[i] = make([]int32, strip)
-	}
 	st.runs = make([]laneSpan, 0, strip)
 	st.dead = make([]bool, strip)
 	return st
@@ -116,7 +112,9 @@ func (st *batchState) initStrip(base, n, gx int) {
 	}
 }
 
-// pushLanes hands out the next scratch lane list (full strip capacity).
+// pushLanes hands out the next scratch lane list (full strip capacity),
+// allocating a nesting level's list on its first use; the pooled arena
+// keeps it.
 func (st *batchState) pushLanes() []int32 {
 	if st.scratchTop == len(st.scratch) {
 		st.scratch = append(st.scratch, make([]int32, st.strip))
@@ -220,7 +218,7 @@ func (bp *batchProg) run(env *ExecEnv, computeAs []precision.Type, converts []bo
 			n = total - base
 		}
 		st.initStrip(base, n, gx)
-		r.exec(bp.nodes, st.ident[:n])
+		r.exec(bp.p.nodes, st.ident[:n])
 		if st.anyDead {
 			// The state's lane lists and dead flags are tainted; drop it
 			// instead of pooling.

@@ -3,19 +3,19 @@ package kir
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/precision"
 )
 
-// This file specializes a lowered Program for the batch (vectorized
-// strip) engine. Once per Program it rebuilds the structured control
-// tree from the lowerer's ctrl records and runs a lane-variance
-// analysis that marks the loops whose head compare is uniform among
-// the lanes active there. Per tape key — one concrete precision
-// binding (the per-buffer compute precisions of a launch) and one
-// non-empty mask (which launch-constant loops run at least once; see
+// This file holds a compiled Program's control tree and specializes the
+// Program for the batch (vectorized strip) engine. The lowerer builds the
+// structured control tree as it emits each construct's jumps, and
+// Compile runs markUniform on it once, after value numbering: a
+// lane-variance analysis that marks the loops whose head compare is
+// uniform among the lanes active there. Per tape key — one concrete
+// precision binding (the per-buffer compute precisions of a launch) and
+// one non-empty mask (which launch-constant loops run at least once; see
 // Program.nonEmpty) — it statically resolves the result precision of
 // every floating-point instruction. The tree engine tracks precision
 // dynamically per register; the batch engine instead proves at
@@ -26,10 +26,7 @@ import (
 // loop known to run, its zero-trip path is not real. Where the proof
 // still fails (lane-divergent precision through float selects feeding
 // arithmetic, or a launch where such a loop runs zero times) the key
-// is a dyn key, and Run executes it on the reference walker. Only a
-// program whose control tree cannot be rebuilt (bytecode the lowerer
-// did not produce) has no specialization; Run rejects it with an
-// error.
+// is a dyn key, and Run executes it on the reference walker.
 
 // bnodeKind classifies batch execution tree nodes.
 type bnodeKind uint8
@@ -70,27 +67,17 @@ type bnode struct {
 	bit uint64
 }
 
-// batchCache holds the lazily-built batch specializations of a
-// Program. The structure tree and its uniform loops are
-// binding-independent and built once; the precision tapes are keyed
-// by the launch's non-empty mask and the effective compute precision
-// of each buffer argument; keys without a static resolution are
-// marked dyn. structOK false (bytecode the lowerer did not produce)
-// means no binding has a tape and Run returns an error.
+// batchCache holds the lazily-built precision tapes of a Program, keyed
+// by the launch's non-empty mask and the effective compute precision of
+// each buffer argument; keys without a static resolution are marked dyn.
 type batchCache struct {
-	mu       sync.Mutex
-	built    bool
-	nodes    []bnode
-	depth    int
-	structOK bool
-	tapes    map[string]*batchProg
+	mu    sync.Mutex
+	tapes map[string]*batchProg
 }
 
 // batchProg is one (kernel, precision binding) specialization.
 type batchProg struct {
-	p     *Program
-	nodes []bnode
-	depth int
+	p *Program
 	// prec is the statically-resolved result precision per instruction:
 	// the rounding target and flop bucket of float arithmetic. Invalid
 	// means untyped (no rounding, charged as Double at the end), exactly
@@ -107,8 +94,7 @@ type batchProg struct {
 
 // batchFor returns the batch specialization for the effective compute
 // precisions ca (one entry per buffer argument, storage precision when
-// no in-kernel override applies) and the launch's non-empty mask, or nil
-// when p's control tree cannot be rebuilt.
+// no in-kernel override applies) and the launch's non-empty mask.
 func (p *Program) batchFor(ca []precision.Type, mask uint64) *batchProg {
 	var kb [24]byte
 	key := binary.LittleEndian.AppendUint64(kb[:0], mask)
@@ -118,141 +104,20 @@ func (p *Program) batchFor(ca []precision.Type, mask uint64) *batchProg {
 	c := &p.batch
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.built {
-		c.built = true
-		c.nodes, c.depth, c.structOK = buildTree(p)
-		if c.structOK {
-			markUniform(p, c.nodes)
-		}
-		c.tapes = map[string]*batchProg{}
-	}
-	if !c.structOK {
-		return nil
-	}
 	if bp, ok := c.tapes[string(key)]; ok {
 		return bp
 	}
-	bp := &batchProg{p: p, nodes: c.nodes, depth: c.depth}
-	if prec, ok := p.inferPrec(c.nodes, ca, mask); ok {
+	if c.tapes == nil {
+		c.tapes = map[string]*batchProg{}
+	}
+	bp := &batchProg{p: p}
+	if prec, ok := p.inferPrec(ca, mask); ok {
 		bp.prec = prec
 	} else {
 		bp.dyn = true
 	}
 	c.tapes[string(key)] = bp
 	return bp
-}
-
-// buildTree reconstructs the structured control tree of p's bytecode
-// from the lowerer's ctrl records. It returns ok=false when the bytecode
-// contains control flow the records do not describe (which cannot happen
-// for lowerer-produced programs; the check keeps the engine safe against
-// future bytecode producers).
-func buildTree(p *Program) (nodes []bnode, depth int, ok bool) {
-	recs := make([]ctrlRec, len(p.ctrl))
-	copy(recs, p.ctrl)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].start < recs[j].start })
-	b := &treeBuilder{p: p, recs: recs, ok: true}
-	nodes = b.span(0, len(p.code))
-	if !b.ok {
-		return nil, 0, false
-	}
-	return nodes, treeDepth(nodes), true
-}
-
-type treeBuilder struct {
-	p    *Program
-	recs []ctrlRec
-	ok   bool
-}
-
-// next returns the first record starting at or after pos and before hi.
-func (b *treeBuilder) next(pos, hi int) *ctrlRec {
-	i := sort.Search(len(b.recs), func(i int) bool { return b.recs[i].start >= pos })
-	if i < len(b.recs) && b.recs[i].start < hi {
-		return &b.recs[i]
-	}
-	return nil
-}
-
-// span builds the node list for instruction range [lo, hi).
-func (b *treeBuilder) span(lo, hi int) []bnode {
-	var out []bnode
-	pos := lo
-	for pos < hi && b.ok {
-		r := b.next(pos, hi)
-		if r == nil {
-			out = b.seq(out, pos, hi)
-			break
-		}
-		if r.end > hi {
-			b.ok = false // construct straddles the span: malformed nesting
-			return nil
-		}
-		out = b.seq(out, pos, r.start)
-		if r.loop {
-			// head ICmp; exit JumpIfZ; body+increment; backward Jump.
-			code := b.p.code
-			if code[r.start].op != opICmp || code[r.start+1].op != opJumpIfZ ||
-				code[r.end-1].op != opJump || int(code[r.end-1].imm) != r.start ||
-				int(code[r.start+1].imm) != r.end {
-				b.ok = false
-				return nil
-			}
-			out = append(out, bnode{kind: bLoop, pc: r.start, bit: r.bit, body: b.span(r.start+2, r.end-1)})
-		} else {
-			if b.p.code[r.start].op != opJumpIfZ {
-				b.ok = false
-				return nil
-			}
-			nd := bnode{kind: bIf, pc: r.start}
-			if r.thenEnd < 0 {
-				nd.body = b.span(r.start+1, r.end)
-			} else {
-				nd.body = b.span(r.start+1, r.thenEnd)
-				nd.els = b.span(r.thenEnd+1, r.end)
-			}
-			out = append(out, nd)
-		}
-		pos = r.end
-	}
-	return out
-}
-
-// seq appends a straight-line node for [lo, hi), verifying the span
-// really is jump-free.
-func (b *treeBuilder) seq(out []bnode, lo, hi int) []bnode {
-	if lo >= hi {
-		return out
-	}
-	for pc := lo; pc < hi; pc++ {
-		if op := b.p.code[pc].op; op == opJump || op == opJumpIfZ {
-			b.ok = false
-			return out
-		}
-	}
-	return append(out, bnode{kind: bSeq, lo: lo, hi: hi})
-}
-
-// treeDepth returns the number of lane-list scratch levels the executor
-// needs: one per nested loop, two per nested if (then + else partitions).
-func treeDepth(nodes []bnode) int {
-	max := 0
-	for i := range nodes {
-		var d int
-		switch nodes[i].kind {
-		case bLoop:
-			d = 1 + treeDepth(nodes[i].body)
-		case bIf:
-			d = 2 + treeDepth(nodes[i].body)
-			if e := 2 + treeDepth(nodes[i].els); e > d {
-				d = e
-			}
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // precRange bounds the possible dynamic precision tags of one float
@@ -337,7 +202,7 @@ func promoteRange(a, b precRange) precRange {
 // resolves every float instruction's result precision for the binding
 // ca under the launch's non-empty mask. ok=false means some executed
 // operation's precision could differ across lanes, and the key is dyn.
-func (p *Program) inferPrec(nodes []bnode, ca []precision.Type, mask uint64) ([]precision.Type, bool) {
+func (p *Program) inferPrec(ca []precision.Type, mask uint64) ([]precision.Type, bool) {
 	// res joins each rounding instruction's result range over all its
 	// visits; an instruction never visited keeps the empty range lo > hi.
 	res := make([]precRange, len(p.code))
@@ -380,7 +245,7 @@ func (p *Program) inferPrec(nodes []bnode, ca []precision.Type, mask uint64) ([]
 			}
 		}
 	}
-	walk(nodes, make([]precRange, p.nFReg)) // entry: all untyped, like a fresh register file
+	walk(p.nodes, make([]precRange, p.nFReg)) // entry: all untyped, like a fresh register file
 
 	prec := make([]precision.Type, len(p.code))
 	for pc, r := range res {
@@ -407,9 +272,9 @@ func (p *Program) inferPrec(nodes []bnode, ca []precision.Type, mask uint64) ([]
 // uniform inside it. Lanes that rejoin after a divergent if or loop have
 // different histories, so every register written inside one varies
 // after it. A loop iterates its head state from join(entry, back edge)
-// until nothing changes. The analysis is binding-independent and runs
-// once per Program.
-func markUniform(p *Program, nodes []bnode) {
+// until nothing changes. The analysis is binding-independent: Compile
+// and CompileUnoptimized run it once, on the final bytecode.
+func markUniform(p *Program) {
 	nI := p.nIReg
 	var walk func(nds []bnode, v []bool)
 	walk = func(nds []bnode, v []bool) {
@@ -453,7 +318,7 @@ func markUniform(p *Program, nodes []bnode) {
 	}
 	// Entry: nothing is written yet, and no item reads a register before
 	// writing it, so every register may start uniform.
-	walk(nodes, make([]bool, nI+p.nFReg))
+	walk(p.nodes, make([]bool, nI+p.nFReg))
 }
 
 // orInto sets dst to dst OR src element-wise and reports whether dst

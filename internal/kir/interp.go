@@ -100,8 +100,8 @@ type interpState struct {
 // storage-precision rounding. A launch runs on the batch engine when its
 // key has a static precision tape, and on the reference walker
 // otherwise; the results are identical either way. Errors report
-// out-of-bounds accesses, argument mismatches, integer division by zero,
-// or bytecode whose control flow the batch engine cannot rebuild.
+// out-of-bounds accesses, argument mismatches and integer division by
+// zero.
 func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	k := p.Kernel
 	if len(env.Bufs) != len(k.Bufs) {
@@ -149,10 +149,7 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	// the walker defines its semantics. No suite launch has one
 	// (TestSuiteStaticTapes).
 	bp := p.batchFor(computeAs, p.nonEmpty(env.IntArgs))
-	switch {
-	case bp == nil:
-		return Counts{}, fmt.Errorf("kernel %s: control flow not produced by the lowerer; the batch engine cannot rebuild it", k.Name)
-	case bp.dyn:
+	if bp.dyn {
 		return p.runTree(env, computeAs, converts, sizes, gx, gy)
 	}
 	return bp.run(env, computeAs, converts, sizes, gx, gy)
@@ -161,9 +158,9 @@ func (p *Program) Run(env *ExecEnv) (Counts, error) {
 // Reference returns a twin of p whose Run walks the bytecode one work
 // item at a time, tracking precision per register: the reference
 // semantics the batch engine must match bit for bit, for differential
-// tests. The twin shares p's bytecode read-only.
+// tests. The twin shares p's bytecode and write set read-only.
 func (p *Program) Reference() *Program {
-	return &Program{Kernel: p.Kernel, code: p.code, nIReg: p.nIReg, nFReg: p.nFReg, ctrl: p.ctrl, reference: true}
+	return &Program{Kernel: p.Kernel, code: p.code, nIReg: p.nIReg, nFReg: p.nFReg, writes: p.writes, reference: true}
 }
 
 // runTree is the reference walker behind Reference: every work item in

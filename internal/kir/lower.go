@@ -5,7 +5,9 @@ import "fmt"
 // This file lowers the structured AST to a flat register bytecode. The
 // bytecode has unlimited virtual registers, separate integer and float
 // register files, and explicit jumps; the interpreter in interp.go
-// executes it once per work item.
+// executes it once per work item. As it emits the bytecode, the lowerer
+// also records what no precision binding changes: the structured control
+// tree the batch engine walks (see bnode) and the buffers stores write.
 
 type opcode uint8
 
@@ -73,26 +75,6 @@ type inst struct {
 	cmp          CmpOp
 }
 
-// ctrlRec records the bytecode span of one structured control construct
-// as the lowerer emits it. The batch engine rebuilds the loop/branch tree
-// from these records instead of re-deriving it from jump targets, so the
-// vectorized executor interprets exactly the same instruction stream the
-// per-item walker does (value numbering rewrites instructions in place
-// and never moves them, so the recorded pcs stay valid).
-type ctrlRec struct {
-	loop bool
-	// start..end is the half-open instruction span of the construct.
-	start, end int
-	// Loops: start is the head ICmp, start+1 the exit JumpIfZ, end-1 the
-	// backward Jump; the body (including the increment) is [start+2, end-1).
-	// Ifs: start is the JumpIfZ over the then-branch; thenEnd is the pc of
-	// the Jump over the else-branch, or -1 when there is no else.
-	thenEnd int
-	// bit (loops only) is the loop's bit in a launch's non-empty mask
-	// (see Program.nonEmpty); 0 when its bounds are not launch constants.
-	bit uint64
-}
-
 // launchConst is a loop bound whose value is fixed for a whole launch:
 // the scalar argument at index param, or the int literal v when param
 // is negative.
@@ -120,9 +102,13 @@ type Program struct {
 	code   []inst
 	nIReg  int
 	nFReg  int
-	// ctrl lists the structured control constructs in emission order
-	// (inner constructs complete first); see ctrlRec.
-	ctrl []ctrlRec
+	// nodes is the structured control tree the batch engine walks, built
+	// by the lowerer as it emits each construct's jumps. Value numbering
+	// rewrites instructions in place and never moves them, so its pcs
+	// stay exact; markUniform fills in the loops' uniformity once.
+	nodes []bnode
+	// writes marks, per buffer parameter, whether some store writes it.
+	writes []bool
 	// trips holds the bounds of the first 64 loops whose bounds are
 	// launch constants; loop i owns bit 1<<i of the non-empty mask.
 	trips []tripBounds
@@ -149,21 +135,25 @@ func Compile(k *Kernel) (*Program, error) {
 		return nil, err
 	}
 	p.optimize()
+	markUniform(p)
 	return p, nil
 }
 
 // lower emits the bytecode of a verified kernel.
 func lower(k *Kernel) (*Program, error) {
 	l := &lowerer{
-		k:     k,
-		iVars: map[string]int32{},
-		fVars: map[string]int32{},
+		k:      k,
+		iVars:  map[string]int32{},
+		fVars:  map[string]int32{},
+		writes: make([]bool, len(k.Bufs)),
 	}
 	l.block(k.Body)
+	l.flush()
 	if l.err != nil {
 		return nil, fmt.Errorf("kernel %s: lowering: %w", k.Name, l.err)
 	}
-	return &Program{Kernel: k, code: l.code, nIReg: int(l.nextI), nFReg: int(l.nextF), ctrl: l.ctrl, trips: l.trips}, nil
+	return &Program{Kernel: k, code: l.code, nIReg: int(l.nextI), nFReg: int(l.nextF),
+		nodes: l.nodes, writes: l.writes, trips: l.trips}, nil
 }
 
 // nonEmpty evaluates the recorded loop bounds for one launch's scalar
@@ -194,13 +184,17 @@ func (p *Program) Len() int { return len(p.code) }
 type lowerer struct {
 	k     *Kernel
 	code  []inst
-	ctrl  []ctrlRec
 	iVars map[string]int32
 	fVars map[string]int32
 	nextI int32
 	nextF int32
 	err   error
 	trips []tripBounds
+	// nodes is the node list of the arm being lowered, and seqLo the
+	// first pc of its open straight-line run.
+	nodes  []bnode
+	seqLo  int
+	writes []bool
 }
 
 // launchConstOf returns e as a launch constant when it is an int literal
@@ -237,6 +231,35 @@ func (l *lowerer) fail(format string, args ...any) {
 func (l *lowerer) emit(in inst) int {
 	l.code = append(l.code, in)
 	return len(l.code) - 1
+}
+
+// flush closes the open straight-line run [seqLo, len(code)) into a bSeq
+// node. It runs before a construct emits its first jump or compare, so no
+// bSeq holds one.
+func (l *lowerer) flush() {
+	if l.seqLo < len(l.code) {
+		l.nodes = append(l.nodes, bnode{kind: bSeq, lo: l.seqLo, hi: len(l.code)})
+	}
+	l.seqLo = len(l.code)
+}
+
+// open starts the node list of a loop body or if arm at the next pc and
+// returns the enclosing list; close ends the arm and returns its list.
+func (l *lowerer) open() (outer []bnode) {
+	outer, l.nodes, l.seqLo = l.nodes, nil, len(l.code)
+	return outer
+}
+
+func (l *lowerer) close(outer []bnode) (arm []bnode) {
+	l.flush()
+	arm, l.nodes = l.nodes, outer
+	return arm
+}
+
+// add appends a finished construct; the next run starts after its jumps.
+func (l *lowerer) add(nd bnode) {
+	l.nodes = append(l.nodes, nd)
+	l.seqLo = len(l.code)
 }
 
 func (l *lowerer) newI() int32 { r := l.nextI; l.nextI++; return r }
@@ -280,6 +303,7 @@ func (l *lowerer) stmt(s Stmt) {
 		idx := l.intExpr(s.Index)
 		val := l.floatExpr(s.Value)
 		l.emit(inst{op: opStore, imm: int64(bi), a: idx, b: val})
+		l.writes[bi] = true
 	case For:
 		bit := l.tripBit(s)
 		start := l.intExpr(s.Start)
@@ -291,29 +315,40 @@ func (l *lowerer) stmt(s Stmt) {
 		// IR by construction: the body cannot mutate params or gids, and
 		// mutating a variable used in the bound is the author's problem —
 		// matching C semantics would re-evaluate, so keep bounds simple).
+		// The loop is its head ICmp, the exit JumpIfZ, the body with the
+		// increment, and the backward Jump.
 		condReg := l.newI()
+		l.flush()
 		head := l.emit(inst{op: opICmp, dst: condReg, a: loopVar, b: end, cmp: CmpLT})
 		exitJump := l.emit(inst{op: opJumpIfZ, a: condReg})
+		outer := l.open()
 		l.block(s.Body)
 		l.emit(inst{op: opIAddImm, dst: loopVar, a: loopVar, imm: 1})
-		back := l.emit(inst{op: opJump, imm: int64(head)})
+		body := l.close(outer)
+		l.emit(inst{op: opJump, imm: int64(head)})
 		l.code[exitJump].imm = int64(len(l.code))
-		l.ctrl = append(l.ctrl, ctrlRec{loop: true, start: head, end: back + 1, thenEnd: -1, bit: bit})
+		l.add(bnode{kind: bLoop, pc: head, bit: bit, body: body})
 		delete(l.iVars, s.Var)
 	case If:
+		// The if is the JumpIfZ over the then-arm and, with an else, the
+		// Jump over the else-arm.
 		cond := l.boolExpr(s.Cond)
+		l.flush()
 		elseJump := l.emit(inst{op: opJumpIfZ, a: cond})
+		outer := l.open()
 		l.block(s.Then)
-		if len(s.Else) == 0 {
+		nd := bnode{kind: bIf, pc: elseJump, body: l.close(outer)}
+		if len(s.Else) > 0 {
+			endJump := l.emit(inst{op: opJump})
+			outer = l.open()
+			l.block(s.Else)
+			nd.els = l.close(outer)
+			l.code[endJump].imm = int64(len(l.code))
+			l.code[elseJump].imm = int64(endJump + 1)
+		} else {
 			l.code[elseJump].imm = int64(len(l.code))
-			l.ctrl = append(l.ctrl, ctrlRec{start: elseJump, end: len(l.code), thenEnd: -1})
-			return
 		}
-		endJump := l.emit(inst{op: opJump})
-		l.code[elseJump].imm = int64(len(l.code))
-		l.block(s.Else)
-		l.code[endJump].imm = int64(len(l.code))
-		l.ctrl = append(l.ctrl, ctrlRec{start: elseJump, end: len(l.code), thenEnd: endJump})
+		l.add(nd)
 	default:
 		l.fail("unknown statement %T", s)
 	}

@@ -246,5 +246,10 @@ func CompileUnoptimized(k *Kernel) (*Program, error) {
 	if err := Verify(k); err != nil {
 		return nil, err
 	}
-	return lower(EliminateDeadLets(Fold(k)))
+	p, err := lower(EliminateDeadLets(Fold(k)))
+	if err != nil {
+		return nil, err
+	}
+	markUniform(p)
+	return p, nil
 }

@@ -17,13 +17,23 @@ import (
 // PolyBench suite: under the configurations TestEngineDifferentialSuite
 // runs (storage precisions, the three uniform precisions, and random
 // per-object bindings in both scaling modes), no kernel launch may need
-// a dyn tape.
+// a dyn tape. It also checks every suite kernel's control tree.
 func TestSuiteStaticTapes(t *testing.T) {
 	sys := hw.System1()
 	rng := rand.New(rand.NewSource(7))
 	targets := []precision.Type{precision.Half, precision.Single, precision.Double}
 
 	for _, w := range polybench.SmallSuite() {
+		names := make([]string, 0, len(w.Kernels))
+		for name := range w.Kernels {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if err := w.Kernels[name].CheckTree(); err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+		}
 		cfgs := []*prog.Config{nil, prog.NewConfig(w, precision.Half),
 			prog.NewConfig(w, precision.Single), prog.NewConfig(w, precision.Double)}
 		for trial := 0; trial < 4; trial++ {
@@ -41,11 +51,6 @@ func TestSuiteStaticTapes(t *testing.T) {
 				t.Fatalf("%s cfg %d: %v", w.Name, i, err)
 			}
 		}
-		names := make([]string, 0, len(w.Kernels))
-		for name := range w.Kernels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		for _, name := range names {
 			for _, tape := range w.Kernels[name].Tapes() {
 				if tape.Dyn {

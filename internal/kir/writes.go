@@ -2,18 +2,9 @@ package kir
 
 // WrittenParams reports, for each buffer parameter of the compiled
 // kernel in argument order, whether the program contains a store to it.
-// Lowering resolves every Store statement to an opStore instruction
-// whose immediate is the buffer parameter index, so the scan is exact:
-// a parameter not marked here can never be mutated by Run. The
-// incremental trial evaluator uses this to snapshot only the buffers a
-// kernel launch may have changed.
-func (p *Program) WrittenParams() []bool {
-	out := make([]bool, len(p.Kernel.Bufs))
-	for i := range p.code {
-		in := &p.code[i]
-		if in.op == opStore && in.imm >= 0 && int(in.imm) < len(out) {
-			out[in.imm] = true
-		}
-	}
-	return out
-}
+// The lowerer marks a parameter as it emits each store, and value
+// numbering never moves or drops a store, so the set is exact: a
+// parameter not marked here can never be mutated by Run. The incremental
+// trial evaluator uses this to snapshot only the buffers a kernel launch
+// may have changed. The slice is shared; callers must not modify it.
+func (p *Program) WrittenParams() []bool { return p.writes }

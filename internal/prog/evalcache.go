@@ -79,7 +79,6 @@ type EvalCache struct {
 	hosts    map[InputSet]map[string]*precision.Array
 	zeros    map[zeroKey]uint64
 	ops      map[string]*opEntry
-	writes   map[*kir.Program][]bool
 	bytes    int64
 	maxBytes int64
 
@@ -100,7 +99,6 @@ func NewEvalCache() *EvalCache {
 		hosts:    map[InputSet]map[string]*precision.Array{},
 		zeros:    map[zeroKey]uint64{},
 		ops:      map[string]*opEntry{},
-		writes:   map[*kir.Program][]bool{},
 		maxBytes: defaultCacheBytes,
 	}
 }
@@ -177,18 +175,6 @@ func (c *EvalCache) zeroVersion(t precision.Type, n int) uint64 {
 
 // nextVersion mints a fresh content version.
 func (c *EvalCache) nextVersion() uint64 { return c.version.Add(1) }
-
-// writtenParams memoizes the kernel write-set scan per compiled program.
-func (c *EvalCache) writtenParams(p *kir.Program) []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	wp, ok := c.writes[p]
-	if !ok {
-		wp = p.WrittenParams()
-		c.writes[p] = wp
-	}
-	return wp
-}
 
 // lookup probes the op store and counts the outcome.
 func (c *EvalCache) lookup(key string) (*opEntry, bool) {
@@ -494,7 +480,7 @@ func (x *Exec) captureRead(key string, createdStart, evStart int, subject *ocl.B
 // results cannot be trusted for reuse (error paths, unversioned inputs):
 // each gets a fresh version so no stale key can match their contents.
 func (x *Exec) freshenWritten(p *kir.Program, bufs []*ocl.Buffer) {
-	wp := x.cache.writtenParams(p)
+	wp := p.WrittenParams()
 	for i, b := range bufs {
 		if i < len(wp) && wp[i] {
 			b.SetContentVersion(x.cache.nextVersion())

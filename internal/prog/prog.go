@@ -513,7 +513,7 @@ func (x *Exec) Launch(kernel string, global [2]int, objs []string, intArgs ...in
 				x.freshenWritten(p, bufs)
 				return err
 			}
-			wp := x.cache.writtenParams(p)
+			wp := p.WrittenParams()
 			var outs []outSpec
 			for i, b := range bufs {
 				if i < len(wp) && wp[i] {

@@ -248,39 +248,6 @@ func New(sys *hw.System, db *inspect.DB, w *prog.Workload, opts Options) *Scaler
 		memo: map[string]*trialRecord{}, spec: map[string]*specTrial{}}
 }
 
-// forEach runs fn(i) for i in [0, n) across the configured workers; with
-// Workers <= 1 it degenerates to a plain loop. fn must only write state
-// owned by its own index (typically a slot in an index-addressed slice)
-// and may read scaler state that no iteration mutates.
-func (s *Scaler) forEach(n int, fn func(int)) {
-	workers := s.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
-
 // speculate executes the not-yet-memoized configurations among cfgs
 // concurrently, caching each run for the sequential decision loop to
 // consume via runTrial. Each worker iteration runs on its own cloned
@@ -320,7 +287,7 @@ func (s *Scaler) speculate(cfgs []*prog.Config) {
 		return
 	}
 	results := make([]*specTrial, len(todo))
-	s.forEach(len(todo), func(i int) {
+	run := func(i int) {
 		rec := &bufRecorder{}
 		// Workers share the mutex-guarded EvalCache: a speculative run
 		// both consumes and seeds op entries. Discarded runs may leave
@@ -339,7 +306,24 @@ func (s *Scaler) speculate(cfgs []*prog.Config) {
 			return
 		}
 		results[i] = &specTrial{res: res, bufs: rec.bufs}
-	})
+	}
+	// Each worker writes only its own runs' slots.
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(s.opts.Workers, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				run(i)
+			}
+		}()
+	}
+	for i := range todo {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 	for i, st := range results {
 		if st != nil {
 			s.spec[keys[i]] = st
@@ -1170,25 +1154,10 @@ func (s *Scaler) searchObject(current *prog.Config, obj *profile.ObjectInfo, typ
 		wildUsesFail bool
 		wildNote     obs.TrialNote
 	)
-	// Score every accepted target concurrently — plan prediction and
-	// expected-time computation are pure database queries — into an
-	// index-addressed slice, then pick the winner sequentially in the
-	// fixed accepted order so ties resolve identically at any worker
-	// count. The memo is only read here; no iteration writes scaler state.
-	type wildCand struct {
-		cfg       *prog.Config
-		plans     []convert.Plan
-		predicted float64
-		expected  float64
-		ok        bool
-	}
-	scored := make([]wildCand, len(accepted))
-	s.forEach(len(accepted), func(i int) {
-		target := accepted[i]
-		plans := s.bestPlans(obj, target, mids)
-		cfg := current.Clone()
-		cfg.Objects[obj.Name] = prog.ObjectConfig{Target: target, Plans: plans}
-
+	// Score the accepted targets in accepted order and keep the first
+	// strict minimum. Each score is a few inspector-database queries and a
+	// memo read; the candidate config is cloned only when it improves.
+	for _, target := range accepted {
 		// Expected time: the normal-search measurement for this target
 		// with the object's transfer time replaced by the database
 		// prediction for the wildcard plans.
@@ -1196,28 +1165,20 @@ func (s *Scaler) searchObject(current *prog.Config, obj *profile.ObjectInfo, typ
 		normalCfg.Objects[obj.Name] = prog.ObjectConfig{Target: target, Plans: s.bestDirectPlans(obj, target)}
 		normalRec, ok := s.memo[s.keys.key(normalCfg)]
 		if !ok {
-			return
-		}
-		predicted := s.expectedObjTransfer(obj, target, plans)
-		scored[i] = wildCand{
-			cfg: cfg, plans: plans, predicted: predicted,
-			expected: normalRec.res.Total - measuredObjTransfer(normalRec.res, obj.Name) + predicted,
-			ok:       true,
-		}
-	})
-	for i, target := range accepted {
-		sc := scored[i]
-		if !sc.ok {
 			continue
 		}
-		if sc.expected < wildBestTime {
-			wildBest, wildBestTime = sc.cfg, sc.expected
-			wildUsesFail = failed.Valid() && plansUseMid(sc.plans, failed, s.w.Original, target)
+		plans := s.bestPlans(obj, target, mids)
+		predicted := s.expectedObjTransfer(obj, target, plans)
+		expected := normalRec.res.Total - measuredObjTransfer(normalRec.res, obj.Name) + predicted
+		if expected < wildBestTime {
+			wildBest, wildBestTime = current.Clone(), expected
+			wildBest.Objects[obj.Name] = prog.ObjectConfig{Target: target, Plans: plans}
+			wildUsesFail = failed.Valid() && plansUseMid(plans, failed, s.w.Original, target)
 			wildNote = obs.TrialNote{
 				Target:            target.String(),
-				Plans:             describePlans(sc.plans, s.w.Original, target),
-				PredictedTransfer: sc.predicted,
-				Total:             sc.expected,
+				Plans:             describePlans(plans, s.w.Original, target),
+				PredictedTransfer: predicted,
+				Total:             expected,
 				Predicted:         true,
 				Verdict:           "predicted",
 			}

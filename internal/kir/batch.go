@@ -13,13 +13,15 @@ import (
 // NDRange is flattened and executed in fixed-size strips of work items;
 // each virtual register becomes a column (one slot per lane), and every
 // instruction runs as a tight loop over each contiguous run of the
-// active lane list. Control flow uses lane masking: a loop keeps
-// iterating the lanes whose head condition still holds, an if partitions
-// lanes into then/else lists. Because every lane executes exactly the
-// instruction sequence the reference tree walker (see Reference) would
-// execute for that work item — same rounding primitives, same operation
-// charging — buffers, counts, and errors are bit-for-bit identical
-// between the engines.
+// active lane list. An int register that Compile proved scalar lives in
+// one more slot past the strip's last lane, and an instruction that
+// writes it runs once per round there. Control flow uses lane masking:
+// a loop keeps iterating the lanes whose head condition still holds, an
+// if partitions lanes into then/else lists. Because every lane executes
+// exactly the instruction sequence the reference tree walker (see
+// Reference) would execute for that work item — same rounding
+// primitives, same operation charging — buffers, counts, and errors are
+// bit-for-bit identical between the engines.
 
 // DefaultStrip is the number of work items per batch strip when
 // ExecEnv.Strip is zero. 256 lanes keep the whole register-file arena in
@@ -49,7 +51,9 @@ type laneSpan struct{ lo, n int }
 // per-lane death tracking. States are pooled on the batchProg so
 // steady-state execution allocates nothing per work item.
 type batchState struct {
-	strip      int
+	strip int
+	// icols holds strip+1 slots per int register: one per lane, and the
+	// scalar slot at index strip.
 	icols      [][]int64
 	fcols      [][]float64
 	gidc       [2][]int64
@@ -67,13 +71,14 @@ type batchState struct {
 func newBatchState(bp *batchProg, strip int) *batchState {
 	p := bp.p
 	st := &batchState{strip: strip}
-	islab := make([]int64, (p.nIReg+2)*strip)
+	w := strip + 1
+	islab := make([]int64, (p.nIReg+2)*w)
 	st.icols = make([][]int64, p.nIReg)
 	for i := range st.icols {
-		st.icols[i] = islab[i*strip : (i+1)*strip]
+		st.icols[i] = islab[i*w : (i+1)*w]
 	}
-	st.gidc[0] = islab[p.nIReg*strip : (p.nIReg+1)*strip]
-	st.gidc[1] = islab[(p.nIReg+1)*strip : (p.nIReg+2)*strip]
+	st.gidc[0] = islab[p.nIReg*w : (p.nIReg+1)*w]
+	st.gidc[1] = islab[(p.nIReg+1)*w : (p.nIReg+2)*w]
 	// A gid register is the gid column itself (see seq).
 	for _, in := range p.code {
 		if in.op == opGID {
@@ -200,8 +205,9 @@ func (bp *batchProg) run(env *ExecEnv, computeAs []precision.Type, converts []bo
 		strip = DefaultStrip
 	}
 	st := bp.getState(strip)
-	// A scalar argument register holds the same value in every lane for
-	// the whole launch (see seq): fill it once here.
+	// A scalar argument register holds the same value in every lane and
+	// in the scalar slot for the whole launch (see seq): fill it once
+	// here.
 	for _, in := range bp.p.code {
 		if in.op == opIParam {
 			col, v := st.icols[in.dst], env.IntArgs[in.imm]
@@ -258,19 +264,24 @@ func (r *batchRun) exec(nodes []bnode, lanes []int32) []int32 {
 // seq executes a straight-line instruction span over the runs of the
 // lane list, stepping every run of one instruction before the next
 // instruction starts, so lanes see memory, faults and charges in
-// ascending lane order. It compacts the lane list and splits it again
-// whenever an instruction faulted some lanes. IParam and GID are
-// skipped: the lowerer gives each a fresh temp that no other
-// instruction writes (variables are written through IMov, and LVN only
-// rewrites an instruction in place to IMov or Nop), so run fills an
-// IParam column once per launch and newBatchState aliases a GID
-// register to its gid column.
+// ascending lane order. An instruction that writes a scalar register
+// runs once for the whole lane list instead; it cannot fault. seq
+// compacts the lane list and splits it again whenever an instruction
+// faulted some lanes. IParam and GID are skipped: the lowerer gives
+// each a fresh temp that no other instruction writes (variables are
+// written through IMov, and LVN only rewrites an instruction in place
+// to IMov or Nop), so run fills an IParam column once per launch and
+// newBatchState aliases a GID register to its gid column.
 func (r *batchRun) seq(nd *bnode, lanes []int32) []int32 {
-	code := r.bp.p.code
+	code, shapes := r.bp.p.code, r.bp.p.shapes
 	runs := r.st.split(lanes)
 	for pc := nd.lo; pc < nd.hi; pc++ {
 		in := &code[pc]
 		if in.op == opIParam || in.op == opGID {
+			continue
+		}
+		if shapes[pc] == shOnce {
+			r.once(in, pc, len(lanes))
 			continue
 		}
 		for _, s := range runs {
@@ -288,10 +299,20 @@ func (r *batchRun) seq(nd *bnode, lanes []int32) []int32 {
 	return lanes
 }
 
+// once runs an instruction that writes a scalar register a single time,
+// on the scalar slots, for all n active lanes: the charge of that one
+// step is scaled to n lanes.
+func (r *batchRun) once(in *inst, pc, n int) {
+	ops := r.intOps
+	r.step(in, pc, r.st.strip, 1)
+	r.intOps += (r.intOps - ops) * float64(n-1)
+}
+
 // loop runs a counted loop. Uniform loops (head compare proven uniform
 // among the active lanes by markUniform) evaluate the condition once
-// per round: the whole lane list stays or exits together, with no
-// per-round filter. Divergent loops re-evaluate the head over the
+// per round, reading each operand from its scalar slot or from the
+// first active lane: the whole lane list stays or exits together, with
+// no per-round filter. Divergent loops re-evaluate the head over the
 // remaining lanes and keep the lanes whose condition holds, so
 // gid-dependent trip counts retire lanes individually.
 func (r *batchRun) loop(nd *bnode, lanes []int32) {
@@ -302,13 +323,20 @@ func (r *batchRun) loop(nd *bnode, lanes []int32) {
 	if nd.uniform {
 		a, b := st.icols[head.a], st.icols[head.b]
 		dst := st.icols[head.dst]
+		sh := r.bp.p.shapes[nd.pc]
 		for len(cur) > 0 {
 			// Every live lane is charged for the head compare, exactly as
 			// each surviving item is in the tree engine — including the
 			// final, failing evaluation.
 			r.intOps += float64(len(cur))
-			l0 := cur[0]
-			taken := cmpInt(head.cmp, a[l0], b[l0])
+			la, lb := int(cur[0]), int(cur[0])
+			if sh&shA != 0 {
+				la = st.strip
+			}
+			if sh&shB != 0 {
+				lb = st.strip
+			}
+			taken := cmpInt(head.cmp, a[la], b[lb])
 			if nd.headLive {
 				v := boolToInt(taken)
 				for _, l := range cur {
@@ -393,8 +421,8 @@ func (r *batchRun) fault(l int32, err error) {
 	st.faults = append(st.faults, laneFault{l, err})
 }
 
-func (r *batchRun) faultOOB(what string, buf, idx int64, l int32) {
-	r.fault(l, fmt.Errorf("%s %s[%d] out of bounds (len %d)", what, r.bp.p.Kernel.Bufs[buf].Name, idx, r.env.Bufs[buf].Len()))
+func (r *batchRun) oob(what string, buf, idx int64) error {
+	return fmt.Errorf("%s %s[%d] out of bounds (len %d)", what, r.bp.p.Kernel.Bufs[buf].Name, idx, r.env.Bufs[buf].Len())
 }
 
 // roundRun rounds a column pre-cut to a run to precision p, using the
@@ -410,6 +438,22 @@ func roundRun(col []float64, p precision.Type) {
 		for i, v := range col {
 			col[i] = float64(float32(v))
 		}
+	}
+}
+
+// addRun sets dst to a + v over a run, a pre-cut to it.
+func addRun(dst, a []int64, v int64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + v
+	}
+}
+
+// mulRun sets dst to a * v over a run, a pre-cut to it.
+func mulRun(dst, a []int64, v int64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * v
 	}
 }
 
@@ -480,10 +524,13 @@ func cmpFloatRun(dst []int64, a, b []float64, op CmpOp) {
 // step executes one instruction over the run of lanes [lo, lo+n) with
 // contiguous column slices: the compiler eliminates the bounds checks
 // (all slices are pre-cut to the run). pc indexes the specialization's
-// static precision tape. Operation charging matches runItem exactly: the
-// same opcodes count, with the same weights, once per executed lane.
-// (Lanes that fault mid-instruction may be charged for it; that is
-// unobservable because a fault always discards the launch's counts.)
+// static precision tape and the program's instruction shapes: an iadd,
+// isub or imul may read one operand, and a load its index, from the
+// scalar slot. The run may be the scalar slots themselves (see once).
+// Operation charging matches runItem exactly: the same opcodes count,
+// with the same weights, once per executed lane. (Lanes that fault
+// mid-instruction may be charged for it; that is unobservable because a
+// fault always discards the launch's counts.)
 func (r *batchRun) step(in *inst, pc int, lo, n int) {
 	st := r.st
 	hi := lo + n
@@ -498,27 +545,51 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 		dst, a := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi]
 		copy(dst, a)
 	case opIAdd:
-		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
-		for i := range dst {
-			dst[i] = a[i] + b[i]
+		dst := st.icols[in.dst][lo:hi]
+		switch r.bp.p.shapes[pc] {
+		case shA:
+			addRun(dst, st.icols[in.b][lo:hi], st.icols[in.a][st.strip])
+		case shB:
+			addRun(dst, st.icols[in.a][lo:hi], st.icols[in.b][st.strip])
+		default:
+			a, b := st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+			for i := range dst {
+				dst[i] = a[i] + b[i]
+			}
 		}
 		r.intOps += nf
 	case opIAddImm:
-		dst, a, v := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], in.imm
-		for i := range dst {
-			dst[i] = a[i] + v
-		}
+		addRun(st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], in.imm)
 		r.intOps += nf
 	case opISub:
-		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
-		for i := range dst {
-			dst[i] = a[i] - b[i]
+		dst := st.icols[in.dst][lo:hi]
+		switch r.bp.p.shapes[pc] {
+		case shA:
+			v, b := st.icols[in.a][st.strip], st.icols[in.b][lo:hi]
+			for i := range dst {
+				dst[i] = v - b[i]
+			}
+		case shB:
+			addRun(dst, st.icols[in.a][lo:hi], -st.icols[in.b][st.strip])
+		default:
+			a, b := st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+			for i := range dst {
+				dst[i] = a[i] - b[i]
+			}
 		}
 		r.intOps += nf
 	case opIMul:
-		dst, a, b := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
-		for i := range dst {
-			dst[i] = a[i] * b[i]
+		dst := st.icols[in.dst][lo:hi]
+		switch r.bp.p.shapes[pc] {
+		case shA:
+			mulRun(dst, st.icols[in.b][lo:hi], st.icols[in.a][st.strip])
+		case shB:
+			mulRun(dst, st.icols[in.a][lo:hi], st.icols[in.b][st.strip])
+		default:
+			a, b := st.icols[in.a][lo:hi], st.icols[in.b][lo:hi]
+			for i := range dst {
+				dst[i] = a[i] * b[i]
+			}
 		}
 		r.intOps += nf
 	case opIMin:
@@ -614,16 +685,39 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 	case opLoad:
 		data := r.env.Bufs[in.imm].Values()
 		bound := int64(len(data))
-		idx, dst := st.icols[in.a][lo:hi], st.fcols[in.dst][lo:hi]
-		for i, ix := range idx {
+		dst := st.fcols[in.dst][lo:hi]
+		if r.bp.p.shapes[pc] == shA {
+			// A broadcast load reads and rounds one element, then fills
+			// the run; out of bounds, it faults every lane of the run.
+			ix := st.icols[in.a][st.strip]
 			if uint64(ix) >= uint64(bound) {
-				r.faultOOB("load", in.imm, ix, int32(lo+i))
-				continue
+				err := r.oob("load", in.imm, ix)
+				for l := lo; l < hi; l++ {
+					r.fault(int32(l), err)
+				}
+				return
 			}
-			dst[i] = data[ix]
+			dst[0] = data[ix]
+			if r.converts[in.imm] {
+				roundRun(dst[:1], r.computeAs[in.imm])
+			}
+			for i := 1; i < len(dst); i++ {
+				dst[i] = dst[0]
+			}
+		} else {
+			idx := st.icols[in.a][lo:hi]
+			for i, ix := range idx {
+				if uint64(ix) >= uint64(bound) {
+					r.fault(int32(lo+i), r.oob("load", in.imm, ix))
+					continue
+				}
+				dst[i] = data[ix]
+			}
+			if r.converts[in.imm] {
+				roundRun(dst, r.computeAs[in.imm])
+			}
 		}
 		if r.converts[in.imm] {
-			roundRun(dst, r.computeAs[in.imm])
 			r.convOps += nf
 		}
 		r.loadB += r.sizes[in.imm] * nf
@@ -636,7 +730,7 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 		case precision.Half:
 			for i, ix := range idx {
 				if uint64(ix) >= uint64(bound) {
-					r.faultOOB("store", in.imm, ix, int32(lo+i))
+					r.fault(int32(lo+i), r.oob("store", in.imm, ix))
 					continue
 				}
 				data[ix] = fp16.Round(val[i])
@@ -644,7 +738,7 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 		case precision.Single:
 			for i, ix := range idx {
 				if uint64(ix) >= uint64(bound) {
-					r.faultOOB("store", in.imm, ix, int32(lo+i))
+					r.fault(int32(lo+i), r.oob("store", in.imm, ix))
 					continue
 				}
 				data[ix] = float64(float32(val[i]))
@@ -652,7 +746,7 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 		default:
 			for i, ix := range idx {
 				if uint64(ix) >= uint64(bound) {
-					r.faultOOB("store", in.imm, ix, int32(lo+i))
+					r.fault(int32(lo+i), r.oob("store", in.imm, ix))
 					continue
 				}
 				data[ix] = val[i]

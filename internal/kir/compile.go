@@ -13,7 +13,8 @@ import (
 // structured control tree as it emits each construct's jumps, and
 // Compile runs markUniform on it once, after value numbering: a
 // lane-variance analysis that marks the loops whose head compare is
-// uniform among the lanes active there. Per tape key — one concrete
+// uniform among the lanes active there and the int registers the batch
+// engine keeps as one scalar per strip. Per tape key — one concrete
 // precision binding (the per-buffer compute precisions of a launch) and
 // one non-empty mask (which launch-constant loops run at least once; see
 // Program.nonEmpty) — it statically resolves the result precision of
@@ -271,11 +272,20 @@ func (p *Program) inferPrec(ca []precision.Type, mask uint64) ([]precision.Type,
 // loop round only shrinks the active set, so a uniform register stays
 // uniform inside it. Lanes that rejoin after a divergent if or loop have
 // different histories, so every register written inside one varies
-// after it. A loop iterates its head state from join(entry, back edge)
-// until nothing changes. The analysis is binding-independent: Compile
-// and CompileUnoptimized run it once, on the final bytecode.
+// after it; and since the then-arm runs first and a scalar register
+// (see markScalars) is shared by the whole strip, every register the
+// then-arm of a divergent if writes varies in its else-arm too. A loop
+// iterates its head state from join(entry, back edge) until nothing
+// changes. The analysis is binding-independent: Compile and
+// CompileUnoptimized run it once, on the final bytecode, and it ends by
+// classifying the scalar registers.
 func markUniform(p *Program) {
 	nI := p.nIReg
+	// vary collects, per pc, which int operands may differ among the
+	// lanes active there, ORed over every visit: the states only grow,
+	// so a loop body's instructions end at the loop's fixpoint, not at
+	// the body's first visit.
+	vary := make([]uint8, len(p.code))
 	var walk func(nds []bnode, v []bool)
 	walk = func(nds []bnode, v []bool) {
 		for i := range nds {
@@ -283,12 +293,21 @@ func markUniform(p *Program) {
 			switch nd.kind {
 			case bSeq:
 				for pc := nd.lo; pc < nd.hi; pc++ {
-					varyStep(v, nI, &p.code[pc])
+					in := &p.code[pc]
+					for j := 0; j < intArgs(in); j++ {
+						if v[in.arg(j)] {
+							vary[pc] |= 1 << j
+						}
+					}
+					varyStep(v, nI, in)
 				}
 			case bIf:
 				div := v[p.code[nd.pc].a]
 				els := append([]bool(nil), v...)
 				walk(nd.body, v)
+				if div {
+					p.markWritten(nd.body, els)
+				}
 				walk(nd.els, els)
 				orInto(v, els)
 				if div {
@@ -319,6 +338,165 @@ func markUniform(p *Program) {
 	// Entry: nothing is written yet, and no item reads a register before
 	// writing it, so every register may start uniform.
 	walk(p.nodes, make([]bool, nI+p.nFReg))
+	p.markScalars(vary)
+}
+
+// Instruction shapes on the batch engine (Program.shapes).
+const (
+	// shOnce marks an instruction that writes a scalar register: it runs
+	// once per round, on the scalar slot past the strip's last lane.
+	shOnce uint8 = 1 << iota
+	// shA and shB mark a lane instruction (or a uniform loop head) that
+	// reads operand a or b from its scalar slot.
+	shA
+	shB
+)
+
+// markScalars classifies the int registers into scalars and columns and
+// records each instruction's shape in p.shapes. A register is scalar
+// when every instruction that writes it is an int op that cannot fault,
+// whose operands are uniform there and scalar themselves, and every
+// reader takes it, uniform there, as a scalar: an op that writes a
+// scalar register, a uniform loop head, the one scalar operand of an
+// iadd, isub or imul, or a load index (a broadcast load, which reads,
+// rounds and fills once). Every other register is a column. vary holds
+// each instruction's varying operands at its loop fixpoint. Starting
+// from every register whose writers qualify, the passes demote
+// registers to columns until no rule is broken.
+func (p *Program) markScalars(vary []uint8) {
+	scalar := make([]bool, p.nIReg)
+	for r := range scalar {
+		scalar[r] = true
+	}
+	for pc := range p.code {
+		if r := p.intDst(pc); r >= 0 && (!onceOp(p.code[pc].op) || vary[pc] != 0) {
+			scalar[r] = false
+		}
+	}
+	var pass func(nds []bnode) bool
+	pass = func(nds []bnode) bool {
+		changed := false
+		demote := func(r int32) {
+			changed = changed || scalar[r]
+			scalar[r] = false
+		}
+		for i := range nds {
+			nd := &nds[i]
+			switch nd.kind {
+			case bSeq:
+				for pc := nd.lo; pc < nd.hi; pc++ {
+					in := &p.code[pc]
+					if r := p.intDst(pc); r >= 0 && scalar[r] {
+						// A once-per-round op reads every operand from
+						// its scalar slot.
+						for j := 0; j < intArgs(in); j++ {
+							if !scalar[in.arg(j)] {
+								demote(r)
+								break
+							}
+						}
+						continue
+					}
+					for j := 0; j < intArgs(in); j++ {
+						if !takesScalar(in, j, vary[pc], scalar) {
+							demote(in.arg(j))
+						}
+					}
+				}
+			case bLoop:
+				head := &p.code[nd.pc]
+				demote(head.dst)
+				if !nd.uniform {
+					demote(head.a)
+					demote(head.b)
+				}
+				changed = pass(nd.body) || changed
+			case bIf:
+				demote(p.code[nd.pc].a)
+				changed = pass(nd.body) || changed
+				changed = pass(nd.els) || changed
+			}
+		}
+		return changed
+	}
+	for pass(p.nodes) {
+	}
+	p.shapes = make([]uint8, len(p.code))
+	for pc := range p.code {
+		in := &p.code[pc]
+		if r := p.intDst(pc); r >= 0 && scalar[r] {
+			p.shapes[pc] = shOnce
+			continue
+		}
+		for j := 0; j < intArgs(in) && j < 2; j++ {
+			if scalar[in.arg(j)] {
+				p.shapes[pc] |= shA << j
+			}
+		}
+	}
+}
+
+// onceOp reports whether op may run once per round on scalar slots: an
+// int op over int operands that cannot fault (division and modulo fault
+// lane by lane on a zero divisor).
+func onceOp(op opcode) bool {
+	switch op {
+	case opIConst, opIMov, opIAdd, opIAddImm, opISub, opIMul, opIMin, opIMax,
+		opINeg, opIAbs, opIParam, opICmp, opBAnd, opBOr, opSelI:
+		return true
+	}
+	return false
+}
+
+// takesScalar reports whether a lane instruction can read its int
+// operand j from the scalar slot: a load index, or the one scalar
+// operand of an iadd, isub or imul (b only when a is a column), and only
+// where the operand is uniform.
+func takesScalar(in *inst, j int, vary uint8, scalar []bool) bool {
+	if vary>>j&1 != 0 {
+		return false
+	}
+	switch in.op {
+	case opLoad:
+		return true
+	case opIAdd, opISub, opIMul:
+		return j == 0 || !scalar[in.a]
+	}
+	return false
+}
+
+// intDst returns the int register the instruction at pc writes, or -1.
+func (p *Program) intDst(pc int) int32 {
+	if r := dstSlot(&p.code[pc], p.nIReg); r >= 0 && r < p.nIReg {
+		return int32(r)
+	}
+	return -1
+}
+
+// intArgs returns how many of in's operands a, b and c, in that order,
+// are int registers.
+func intArgs(in *inst) int {
+	switch in.op {
+	case opIMov, opIAddImm, opINeg, opIAbs, opItoF, opLoad, opStore, opSelF, opJumpIfZ:
+		return 1
+	case opIAdd, opISub, opIMul, opIDiv, opIMod, opIMin, opIMax,
+		opICmp, opBAnd, opBOr:
+		return 2
+	case opSelI:
+		return 3
+	}
+	return 0
+}
+
+// arg returns operand j of in: a, b or c.
+func (in *inst) arg(j int) int32 {
+	switch j {
+	case 0:
+		return in.a
+	case 1:
+		return in.b
+	}
+	return in.c
 }
 
 // orInto sets dst to dst OR src element-wise and reports whether dst
@@ -415,27 +593,8 @@ func intRegReadElsewhere(code []inst, reg int32, exceptPC int) bool {
 		if pc == exceptPC {
 			continue
 		}
-		in := &code[pc]
-		switch in.op {
-		case opIMov, opIAddImm, opINeg, opIAbs, opItoF:
-			if in.a == reg {
-				return true
-			}
-		case opIAdd, opISub, opIMul, opIDiv, opIMod, opIMin, opIMax,
-			opICmp, opBAnd, opBOr:
-			if in.a == reg || in.b == reg {
-				return true
-			}
-		case opSelI:
-			if in.a == reg || in.b == reg || in.c == reg {
-				return true
-			}
-		case opSelF, opJumpIfZ:
-			if in.a == reg {
-				return true
-			}
-		case opLoad, opStore:
-			if in.a == reg {
+		for j := 0; j < intArgs(&code[pc]); j++ {
+			if code[pc].arg(j) == reg {
 				return true
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/precision"
 )
@@ -58,6 +59,26 @@ func (p *Program) LoopUniform() []bool {
 	}
 	walk(p.nodes)
 	return out
+}
+
+// Shapes returns p's disassembly with each instruction that runs once
+// per round marked "once", and each lane instruction or uniform loop
+// head that reads operand a or b from its scalar slot marked "a" or "b".
+func (p *Program) Shapes() []string {
+	lines := strings.Split(strings.TrimSuffix(p.Disassemble(), "\n"), "\n")[1:]
+	for pc, sh := range p.shapes {
+		switch sh {
+		case shOnce:
+			lines[pc] += "  [once]"
+		case shA:
+			lines[pc] += "  [a]"
+		case shB:
+			lines[pc] += "  [b]"
+		case shA | shB:
+			lines[pc] += "  [a b]"
+		}
+	}
+	return lines
 }
 
 // CheckTree checks that p's control tree tiles its bytecode in order:

@@ -107,6 +107,10 @@ type Program struct {
 	// rewrites instructions in place and never moves them, so its pcs
 	// stay exact; markUniform fills in the loops' uniformity once.
 	nodes []bnode
+	// shapes holds, per pc, how the batch engine runs the instruction:
+	// once per round on scalar slots, or lane by lane with some operands
+	// read from their scalar slots (see markScalars).
+	shapes []uint8
 	// writes marks, per buffer parameter, whether some store writes it.
 	writes []bool
 	// trips holds the bounds of the first 64 loops whose bounds are

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -80,6 +81,55 @@ func TestLoopUniformity(t *testing.T) {
 	} {
 		if got := c.p.LoopUniform(); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: uniform = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestScalarRegisters pins the scalar registers on suite kernels, by
+// the shape each instruction gets: "once" runs it once per round on the
+// scalar slots, "a" or "b" reads that operand from its scalar slot, and
+// "" runs it lane by lane on columns. In mm2_k1 the loop counter k and
+// k*nj are scalar; in atax_k1 j is scalar through the broadcast load
+// x[j]; in corr_mat the gid-started j2 stays a column, while the inner
+// i and i*m are scalar.
+func TestScalarRegisters(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *kir.Program
+		want map[string]string // instruction -> shape
+	}{
+		{"mm2_k1", polybench.TwoMM(8).Kernels["mm2_k1"], map[string]string{
+			"imov    i6 <- i4":        "once", // k = 0
+			"icmp    i7 <- (6 < 5)":   "a b",  // k < nk
+			"imul    r10 <- r6, r9":   "once", // k*nj
+			"iadd    r12 <- r10, r11": "a",    // k*nj + gid1
+			"iadd    r8 <- r3, r6":    "b",    // gid0*nk + k
+			"iaddi   i6 <- i6 + 1":    "once",
+		}},
+		{"atax_k1", polybench.Atax(8, 8).Kernels["atax_k1"], map[string]string{
+			"load    f3 <- x[i6]":  "a", // x[j], a broadcast load
+			"iaddi   i6 <- i6 + 1": "once",
+		}},
+		{"corr_mat", polybench.Corr(8, 8).Kernels["corr_mat"], map[string]string{
+			"imov    i13 <- i11":       "", // j2 = gid0 + 1
+			"icmp    i14 <- (13 < 12)": "", // a divergent head
+			"iaddi   i13 <- i13 + 1":   "", // j2++
+			"imul    r20 <- r17, r19":  "once",
+			"iadd    r25 <- r24, r13":  "a", // i*m + j2
+			"iaddi   i17 <- i17 + 1":   "once",
+		}},
+	} {
+		got := map[string]string{}
+		for _, line := range c.p.Shapes() {
+			// "  20  iaddi   i6 <- i6 + 1  [once]": drop the pc, split off the shape.
+			_, inst, _ := strings.Cut(strings.TrimSpace(line), "  ")
+			inst, shape, _ := strings.Cut(inst, "  [")
+			if _, ok := c.want[inst]; ok {
+				got[inst] = strings.TrimSuffix(shape, "]")
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: shapes %v, want %v\n%s", c.name, got, c.want, strings.Join(c.p.Shapes(), "\n"))
 		}
 	}
 }

@@ -139,7 +139,8 @@ type Config struct {
 	// allocates a private observer so the endpoint always works.
 	Obs *obs.Observer
 	// Workload resolves a benchmark name; nil selects polybench.ByName.
-	// Tests inject synthetic workloads here.
+	// Tests inject synthetic workloads here. The server resolves each
+	// workload once and shares it across requests and sessions.
 	Workload func(name string) *prog.Workload
 	// Logger receives structured request logs (one line per request) and
 	// panic reports. Nil disables logging; everything else still works.
@@ -161,7 +162,7 @@ type Server struct {
 	obs      *obs.Observer
 	handler  http.Handler // route table wrapped in the telemetry middleware
 	admit    *fairQueue
-	workload func(name string) *prog.Workload
+	workload func(name string) *prog.Workload // memoized (see onceWorkloads)
 
 	logger        *slog.Logger
 	start         time.Time
@@ -257,7 +258,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		obs:           o,
 		admit:         newFairQueue(opts.Workers, maxQueue, o.Metrics()),
-		workload:      wl,
+		workload:      onceWorkloads(wl),
 		logger:        cfg.Logger,
 		start:         time.Now(),
 		latency:       o.Metrics().Histogram("http_request_seconds", obs.DefaultLatencyBuckets),
@@ -459,6 +460,35 @@ type scaleJob struct {
 	opts scaler.Options
 	spec *fault.Spec
 	id   string
+}
+
+// onceWorkloads resolves each workload once per server: every request
+// and session of one benchmark shares one workload, its compiled
+// programs and their tape caches, and a cache hit compiles nothing.
+// Only workloads that resolve are kept, keyed by their own name, so
+// unknown or differently-cased names cannot grow the memo: such a name
+// resolves again and gets the kept workload.
+func onceWorkloads(resolve func(name string) *prog.Workload) func(name string) *prog.Workload {
+	var mu sync.Mutex
+	memo := map[string]*prog.Workload{}
+	return func(name string) *prog.Workload {
+		mu.Lock()
+		w := memo[name]
+		mu.Unlock()
+		if w != nil {
+			return w
+		}
+		if w = resolve(name); w == nil {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if kept := memo[w.Name]; kept != nil {
+			return kept
+		}
+		memo[w.Name] = w
+		return w
+	}
 }
 
 // prepare validates a wire request against the registries and option

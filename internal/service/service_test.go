@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +147,45 @@ func TestScaleCacheHit(t *testing.T) {
 	}
 	if id3 := resp3.Header.Get("X-Decision-Id"); id3 == id1 {
 		t.Error("different TOQ produced the same fingerprint")
+	}
+}
+
+// The server resolves a workload once: repeated and differently-cased
+// requests share it, and names that do not resolve are not kept.
+func TestWorkloadResolvedOnce(t *testing.T) {
+	calls := map[string]int{}
+	resolve := onceWorkloads(func(name string) *prog.Workload {
+		calls[name]++
+		return polybench.ByName(name)
+	})
+	w := resolve("GEMM")
+	if w == nil || resolve("GEMM") != w || resolve("gemm") != w {
+		t.Fatal("GEMM and gemm must resolve to one shared workload")
+	}
+	if resolve("NOPE") != nil || resolve("NOPE") != nil {
+		t.Fatal("an unknown benchmark resolved")
+	}
+	want := map[string]int{"GEMM": 1, "gemm": 1, "NOPE": 2}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("resolver calls = %v, want %v", calls, want)
+	}
+
+	// Concurrent first requests may each resolve, but all get one workload.
+	resolve = onceWorkloads(polybench.ByName)
+	got := make([]*prog.Workload, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = resolve("SYRK")
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range got {
+		if w == nil || w != got[0] {
+			t.Errorf("concurrent resolve %d: %p, want %p", i, w, got[0])
+		}
 	}
 }
 

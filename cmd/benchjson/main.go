@@ -19,7 +19,9 @@
 // models, absolute-time regressions are downgraded to warnings — but
 // -min-speedup stays fatal, because it checks the engine-to-engine ratio
 // of */batch vs */tree pairs measured in the same run, which is
-// machine-independent.
+// machine-independent. With -compare, -min-speedup also holds each pair
+// to 0.78 of its ratio in the baseline, so one kernel cannot lose most
+// of its speedup behind a geomean that the others carry.
 package main
 
 import (
@@ -208,43 +210,67 @@ func compareService(base, cur *benchfmt.File, tol float64, sameCPU bool) int {
 	return fatal
 }
 
-// checkSpeedup enforces the engine-ratio gate: for every benchmark name
-// ending in /tree with a /batch sibling, speedup = tree ns_op / batch
-// ns_op. The geometric mean across pairs must reach min.
-func checkSpeedup(f *benchfmt.File, min float64) int {
-	type pair struct {
-		name    string
-		speedup float64
-	}
-	var pairs []pair
+// kernelFloor is the share of its baseline batch-vs-tree ratio that each
+// pair must keep: the margin the geomean floor keeps against the
+// measured geomean (DESIGN §16).
+const kernelFloor = 0.78
+
+// speedups returns, for every benchmark name ending in /tree with a
+// /batch sibling, speedup = tree ns_op / batch ns_op, keyed by the
+// shared prefix.
+func speedups(f *benchfmt.File) map[string]float64 {
+	out := map[string]float64{}
 	for name, tree := range f.Benchmarks {
 		base, ok := strings.CutSuffix(name, "/tree")
 		if !ok {
 			continue
 		}
-		batch, ok := f.Benchmarks[base+"/batch"]
-		if !ok || batch.NsOp == 0 {
-			continue
+		if batch, ok := f.Benchmarks[base+"/batch"]; ok && batch.NsOp != 0 {
+			out[base] = tree.NsOp / batch.NsOp
 		}
-		pairs = append(pairs, pair{base, tree.NsOp / batch.NsOp})
 	}
+	return out
+}
+
+// checkSpeedup enforces the engine-ratio gate: the geometric mean of the
+// pairs' speedups must reach min, and with a baseline (base non-nil)
+// each pair's speedup must reach kernelFloor times its baseline
+// speedup. Both engines of a pair run in one process, so the ratio
+// cancels the machine's speed and both checks hold on any CPU.
+func checkSpeedup(f, base *benchfmt.File, min float64) int {
+	pairs := speedups(f)
 	if len(pairs) == 0 {
 		fmt.Println("FAIL speedup gate: no */tree + */batch benchmark pairs found")
 		return 1
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].name < pairs[j].name })
+	var baseline map[string]float64
+	if base != nil {
+		baseline = speedups(base)
+	}
+	names := make([]string, 0, len(pairs))
+	for name := range pairs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fatal := 0
 	logSum := 0.0
-	for _, p := range pairs {
-		fmt.Printf("speedup %s: %.2fx (batch vs tree)\n", p.name, p.speedup)
-		logSum += math.Log(p.speedup)
+	for _, name := range names {
+		s := pairs[name]
+		logSum += math.Log(s)
+		if b, ok := baseline[name]; ok && s < kernelFloor*b {
+			fmt.Printf("FAIL speedup %s: %.2fx < %.2f x baseline %.2fx\n", name, s, kernelFloor, b)
+			fatal++
+			continue
+		}
+		fmt.Printf("speedup %s: %.2fx (batch vs tree)\n", name, s)
 	}
 	geo := math.Exp(logSum / float64(len(pairs)))
 	if geo < min {
 		fmt.Printf("FAIL speedup gate: geomean %.2fx < required %.2fx\n", geo, min)
-		return 1
+		return fatal + 1
 	}
 	fmt.Printf("ok   speedup gate: geomean %.2fx >= %.2fx over %d kernels\n", geo, min, len(pairs))
-	return 0
+	return fatal
 }
 
 func main() {
@@ -252,7 +278,7 @@ func main() {
 	in := flag.String("in", "", "read the current summary from this prescaler-bench/v1 JSON file instead of parsing bench text")
 	baseline := flag.String("compare", "", "baseline summary to compare against")
 	tol := flag.Float64("tolerance", 0.15, "fractional regression (ns/op, service p99, throughput) that fails a compare")
-	minSpeedup := flag.Float64("min-speedup", 0, "minimum geomean batch-vs-tree speedup over */{batch,tree} pairs (0 disables)")
+	minSpeedup := flag.Float64("min-speedup", 0, "minimum geomean batch-vs-tree speedup over */{batch,tree} pairs; with -compare, each pair must also keep 0.78 of its baseline speedup (0 disables)")
 	flag.Parse()
 
 	var cur *benchfmt.File
@@ -299,16 +325,17 @@ func main() {
 	}
 
 	fatal := 0
+	var base *benchfmt.File
 	if *baseline != "" {
-		base, err := benchfmt.Load(*baseline)
-		if err != nil {
+		var err error
+		if base, err = benchfmt.Load(*baseline); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
 		fatal += compare(base, cur, *tol)
 	}
 	if *minSpeedup > 0 {
-		fatal += checkSpeedup(cur, *minSpeedup)
+		fatal += checkSpeedup(cur, base, *minSpeedup)
 	}
 	if fatal > 0 {
 		fmt.Printf("%d benchmark gate failure(s)\n", fatal)

@@ -155,14 +155,46 @@ func TestCompareService(t *testing.T) {
 func TestSpeedupGate(t *testing.T) {
 	f := parseSample(t)
 	// tree 55e6 / batch 5.5e6 = 10x.
-	if n := checkSpeedup(f, 5); n != 0 {
+	if n := checkSpeedup(f, nil, 5); n != 0 {
 		t.Fatalf("10x pair failed a 5x gate")
 	}
-	if n := checkSpeedup(f, 20); n != 1 {
+	if n := checkSpeedup(f, nil, 20); n != 1 {
 		t.Fatalf("10x pair passed a 20x gate")
 	}
 	delete(f.Benchmarks, "repro/BenchmarkProgRun/gemm/batch")
-	if n := checkSpeedup(f, 5); n != 1 {
+	if n := checkSpeedup(f, nil, 5); n != 1 {
 		t.Fatalf("missing pairs must fail the gate")
+	}
+}
+
+// TestKernelSpeedupFloor checks the per-pair floor: against a baseline,
+// a pair must keep 0.78 of its baseline speedup even when the geomean
+// floor passes, on any CPU, and without a baseline only the geomean
+// counts.
+func TestKernelSpeedupFloor(t *testing.T) {
+	base := parseSample(t) // gemm: 10x
+	withSpeedup := func(x float64) *benchfmt.File {
+		cur := parseSample(t)
+		b := cur.Benchmarks["repro/BenchmarkProgRun/gemm/batch"]
+		b.NsOp = cur.Benchmarks["repro/BenchmarkProgRun/gemm/tree"].NsOp / x
+		cur.Benchmarks["repro/BenchmarkProgRun/gemm/batch"] = b
+		return cur
+	}
+	if n := checkSpeedup(withSpeedup(8), base, 5); n != 0 {
+		t.Errorf("8x against a 10x baseline (floor 7.8x) produced %d failures, want 0", n)
+	}
+	if n := checkSpeedup(withSpeedup(7), base, 5); n != 1 {
+		t.Errorf("7x against a 10x baseline (floor 7.8x) produced %d failures, want 1", n)
+	}
+	other := withSpeedup(7)
+	other.CPU = "Other CPU"
+	if n := checkSpeedup(other, base, 5); n != 1 {
+		t.Errorf("cross-CPU 7x against a 10x baseline produced %d failures, want 1", n)
+	}
+	if n := checkSpeedup(withSpeedup(7), nil, 5); n != 0 {
+		t.Errorf("7x without a baseline produced %d failures against a 5x geomean floor, want 0", n)
+	}
+	if n := checkSpeedup(withSpeedup(4), base, 5); n != 2 {
+		t.Errorf("4x against a 10x baseline and a 5x geomean floor produced %d failures, want 2", n)
 	}
 }

@@ -15,13 +15,17 @@ import (
 // instruction runs as a tight loop over each contiguous run of the
 // active lane list. An int register that Compile proved scalar lives in
 // one more slot past the strip's last lane, and an instruction that
-// writes it runs once per round there. Control flow uses lane masking:
-// a loop keeps iterating the lanes whose head condition still holds, an
-// if partitions lanes into then/else lists. Because every lane executes
-// exactly the instruction sequence the reference tree walker (see
-// Reference) would execute for that work item — same rounding
-// primitives, same operation charging — buffers, counts, and errors are
-// bit-for-bit identical between the engines.
+// writes it runs once per round there. A load whose index is a column
+// plus a scalar, built by the iadd just before it, adds the two itself;
+// when the column is a gid it loads each row segment of a run as one
+// slice copy (gid0) or one broadcast element (gid1). Control flow uses
+// lane masking: a loop keeps iterating the lanes whose head condition
+// still holds, an if partitions lanes into then/else lists. Because
+// every lane executes exactly the instruction sequence the reference
+// tree walker (see Reference) would execute for that work item — same
+// rounding primitives, same operation charging — buffers, counts, and
+// errors are bit-for-bit identical between the engines, for kernels
+// whose work items do not race (see Program.Run).
 
 // DefaultStrip is the number of work items per batch strip when
 // ExecEnv.Strip is zero. 256 lanes keep the whole register-file arena in
@@ -526,7 +530,9 @@ func cmpFloatRun(dst []int64, a, b []float64, op CmpOp) {
 // (all slices are pre-cut to the run). pc indexes the specialization's
 // static precision tape and the program's instruction shapes: an iadd,
 // isub or imul may read one operand, and a load its index, from the
-// scalar slot. The run may be the scalar slots themselves (see once).
+// scalar slot, and a fused iadd only charges while the load after it
+// adds (see loadFused). The run may be the scalar slots themselves (see
+// once).
 // Operation charging matches runItem exactly: the same opcodes count,
 // with the same weights, once per executed lane. (Lanes that fault
 // mid-instruction may be charged for it; that is unobservable because a
@@ -545,8 +551,14 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 		dst, a := st.icols[in.dst][lo:hi], st.icols[in.a][lo:hi]
 		copy(dst, a)
 	case opIAdd:
+		sh := r.bp.p.shapes[pc]
+		if sh&shFuse != 0 {
+			// The load after it adds (see loadFused).
+			r.intOps += nf
+			break
+		}
 		dst := st.icols[in.dst][lo:hi]
-		switch r.bp.p.shapes[pc] {
+		switch sh {
 		case shA:
 			addRun(dst, st.icols[in.b][lo:hi], st.icols[in.a][st.strip])
 		case shB:
@@ -684,38 +696,14 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 
 	case opLoad:
 		data := r.env.Bufs[in.imm].Values()
-		bound := int64(len(data))
 		dst := st.fcols[in.dst][lo:hi]
-		if r.bp.p.shapes[pc] == shA {
-			// A broadcast load reads and rounds one element, then fills
-			// the run; out of bounds, it faults every lane of the run.
-			ix := st.icols[in.a][st.strip]
-			if uint64(ix) >= uint64(bound) {
-				err := r.oob("load", in.imm, ix)
-				for l := lo; l < hi; l++ {
-					r.fault(int32(l), err)
-				}
-				return
-			}
-			dst[0] = data[ix]
-			if r.converts[in.imm] {
-				roundRun(dst[:1], r.computeAs[in.imm])
-			}
-			for i := 1; i < len(dst); i++ {
-				dst[i] = dst[0]
-			}
-		} else {
-			idx := st.icols[in.a][lo:hi]
-			for i, ix := range idx {
-				if uint64(ix) >= uint64(bound) {
-					r.fault(int32(lo+i), r.oob("load", in.imm, ix))
-					continue
-				}
-				dst[i] = data[ix]
-			}
-			if r.converts[in.imm] {
-				roundRun(dst, r.computeAs[in.imm])
-			}
+		switch sh := r.bp.p.shapes[pc]; {
+		case sh == shA:
+			r.bcast(in, dst, st.icols[in.a][st.strip], lo, data)
+		case sh&shFuse != 0:
+			r.loadFused(in, pc, dst, lo, data)
+		default:
+			r.gather(in, dst, st.icols[in.a][lo:hi], 0, lo, data)
 		}
 		if r.converts[in.imm] {
 			r.convOps += nf
@@ -786,6 +774,90 @@ func (r *batchRun) step(in *inst, pc int, lo, n int) {
 
 	default:
 		r.stepCold(in, pc, lo, n)
+	}
+}
+
+// gather loads data[idx[i]+s] into dst, the run of lanes from lo with
+// idx cut to it, and rounds the run; a lane whose index is out of
+// bounds faults.
+func (r *batchRun) gather(in *inst, dst []float64, idx []int64, s int64, lo int, data []float64) {
+	idx = idx[:len(dst)]
+	for i := range dst {
+		ix := idx[i] + s
+		if uint64(ix) >= uint64(len(data)) {
+			r.fault(int32(lo+i), r.oob("load", in.imm, ix))
+			continue
+		}
+		dst[i] = data[ix]
+	}
+	r.roundLoad(in, dst)
+}
+
+// bcast reads and rounds data[ix] once and fills dst, the run of lanes
+// from lo, with it; out of bounds, it faults every lane of the run, as
+// each would have faulted on the same index.
+func (r *batchRun) bcast(in *inst, dst []float64, ix int64, lo int, data []float64) {
+	if uint64(ix) >= uint64(len(data)) {
+		err := r.oob("load", in.imm, ix)
+		for i := range dst {
+			r.fault(int32(lo+i), err)
+		}
+		return
+	}
+	dst[0] = data[ix]
+	r.roundLoad(in, dst[:1])
+	for i := 1; i < len(dst); i++ {
+		dst[i] = dst[0]
+	}
+}
+
+// roundLoad rounds loaded values to the buffer's compute precision when
+// the launch converts the buffer.
+func (r *batchRun) roundLoad(in *inst, dst []float64) {
+	if r.converts[in.imm] {
+		roundRun(dst, r.computeAs[in.imm])
+	}
+}
+
+// loadFused runs a fused load over the run of lanes from lo: its index
+// is col[l] + s, the column and the scalar operand of the iadd at pc-1.
+// A gather reads each lane's element. A row load splits the run where
+// gid0 wraps at Global[0] (a row shorter than the strip puts several
+// rows in one run); within one segment gid0 counts up by one and gid1
+// is constant, so a gid0 segment in bounds is one slice copy and a gid1
+// segment one broadcast element. A gid0 segment with any lane out of
+// bounds gathers lane by lane, so exactly its out-of-bounds lanes fault
+// and the lowest faulting lane is still the one reported.
+func (r *batchRun) loadFused(in *inst, pc int, dst []float64, lo int, data []float64) {
+	st, p := r.st, r.bp.p
+	add, sh := &p.code[pc-1], p.shapes[pc]
+	c, s := add.a, add.b
+	if p.shapes[pc-1]&shA != 0 {
+		c, s = s, c
+	}
+	col, v := st.icols[c], st.icols[s][st.strip]
+	if sh&(shRowCopy|shRowBcast) == 0 {
+		r.gather(in, dst, col[lo:], v, lo, data)
+		return
+	}
+	g0, gx := st.gidc[0], int64(r.env.Global[0])
+	for i := 0; i < len(dst); {
+		l := lo + i
+		e := len(dst)
+		if w := gx - g0[l]; w < int64(e-i) {
+			e = i + int(w)
+		}
+		seg, ix := dst[i:e], col[l]+v
+		switch {
+		case sh&shRowBcast != 0:
+			r.bcast(in, seg, ix, l, data)
+		case ix >= 0 && ix <= int64(len(data)-len(seg)):
+			copy(seg, data[ix:])
+			r.roundLoad(in, seg)
+		default:
+			r.gather(in, seg, col[l:], v, l, data)
+		}
+		i = e
 	}
 }
 

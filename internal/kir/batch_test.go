@@ -20,7 +20,8 @@ import (
 // selects, transcendentals, multi-buffer streaming, a dyn-key select,
 // the three suite epilogues whose tapes are static only when a
 // launch-constant loop is known to run, loops whose start varies among
-// the active lanes, and a boundary if whose active lanes form runs.
+// the active lanes, a boundary if whose active lanes form runs, and
+// fused row loads along both gids over rows that wrap inside a run.
 func diffKernels() map[string]*Kernel {
 	ks := map[string]*Kernel{}
 
@@ -174,6 +175,23 @@ func diffKernels() map[string]*Kernel {
 					),
 				)),
 			),
+		).MustBuild()
+
+	// Row loads along both gids, as in mm2_k1's B[k*nj + gid1] and
+	// corr_mat's data[i*m + gid0]: k*n is scalar, so each load fuses its
+	// index add and reads one row segment at a time. A row shorter than
+	// the strip wraps inside a run, and an NDRange wider than n reads A
+	// out of bounds part-way through each row in the last round.
+	ks["wrap"] = NewKernel("wrap", 2).In("A").In("B").Out("C").Ints("n").
+		Body(
+			LetF("acc", F(0)),
+			Loop("k", I(0), P("n"),
+				Set("acc", Add(
+					Mul(At("A", Idx2(V("k"), P("n"), Gid(0))), At("B", Idx2(V("k"), P("n"), Gid(1)))),
+					V("acc"),
+				)),
+			),
+			Put("C", Idx2(Gid(1), P("n"), Gid(0)), V("acc")),
 		).MustBuild()
 
 	return ks
@@ -451,6 +469,42 @@ func TestBatchFaultIdentity(t *testing.T) {
 		p := MustCompile(k)
 		runBothEngines(t, p, mkEnv(0, []precision.Type{precision.Double, precision.Double},
 			[]int{32, 64}, nil, []int64{32}, [2]int{64, 1}))
+	})
+	t.Run("row-load-oob", func(t *testing.T) {
+		// The wrap kernel over 13-wide rows, a width no strip divides,
+		// so rows wrap inside runs. At n = 4 nothing faults. At n = 10
+		// the copy load A[k*n + gid0] reads out of bounds from gid0 = 10
+		// on, part-way through every row, so (10,0) faults first; with B
+		// cut to 93 elements the broadcast load B[k*n + gid1] reads out
+		// of bounds from row 3 on, so (0,3) faults first.
+		p := MustCompile(diffKernels()["wrap"])
+		storage := []precision.Type{precision.Double, precision.Double, precision.Double}
+		ca := []precision.Type{precision.Half, precision.Single, precision.Double}
+		for _, c := range []struct {
+			n          int64
+			lenA, lenB int
+			err        string
+		}{
+			{4, 64, 64, ""},
+			{10, 100, 200, "kernel wrap at gid (10,0): load A[100] out of bounds (len 100)"},
+			{10, 200, 93, "kernel wrap at gid (0,3): load B[93] out of bounds (len 93)"},
+		} {
+			mk := mkEnv(0, storage, []int{c.lenA, c.lenB, 13 * 5}, ca, []int64{c.n}, [2]int{13, 5})
+			got := ""
+			if _, err := p.Reference().Run(mk()); err != nil {
+				got = err.Error()
+			}
+			if got != c.err {
+				t.Fatalf("n=%d: reference error %q, want %q", c.n, got, c.err)
+			}
+			for _, strip := range []int{1, 7, 64, 1024} {
+				runBothEngines(t, p, func() *ExecEnv {
+					env := mk()
+					env.Strip = strip
+					return env
+				})
+			}
+		}
 	})
 	t.Run("div-zero", func(t *testing.T) {
 		// Lane 13 divides by zero mid-strip; every other lane stays in

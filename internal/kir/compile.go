@@ -13,8 +13,9 @@ import (
 // structured control tree as it emits each construct's jumps, and
 // Compile runs markUniform on it once, after value numbering: a
 // lane-variance analysis that marks the loops whose head compare is
-// uniform among the lanes active there and the int registers the batch
-// engine keeps as one scalar per strip. Per tape key — one concrete
+// uniform among the lanes active there, the int registers the batch
+// engine keeps as one scalar per strip, and the loads that add their
+// own column-plus-scalar index. Per tape key — one concrete
 // precision binding (the per-buffer compute precisions of a launch) and
 // one non-empty mask (which launch-constant loops run at least once; see
 // Program.nonEmpty) — it statically resolves the result precision of
@@ -350,6 +351,16 @@ const (
 	// reads operand a or b from its scalar slot.
 	shA
 	shB
+	// shFuse marks a lane iadd of a column and a scalar whose sum only
+	// the load right after it reads, and that load (see fuseLoads): the
+	// iadd only charges, and the load reads data[col[i]+s] itself.
+	shFuse
+	// shRowCopy and shRowBcast mark a fused load whose column is the gid0
+	// or the gid1 register. It loads each row segment of a run, the lanes
+	// between two wraps of gid0, as one slice copy (gid0 counts up along
+	// the row) or one broadcast element (gid1 is constant along it).
+	shRowCopy
+	shRowBcast
 )
 
 // markScalars classifies the int registers into scalars and columns and
@@ -362,7 +373,8 @@ const (
 // rounds and fills once). Every other register is a column. vary holds
 // each instruction's varying operands at its loop fixpoint. Starting
 // from every register whose writers qualify, the passes demote
-// registers to columns until no rule is broken.
+// registers to columns until no rule is broken. It ends by fusing
+// index adds into their loads (see fuseLoads).
 func (p *Program) markScalars(vary []uint8) {
 	scalar := make([]bool, p.nIReg)
 	for r := range scalar {
@@ -434,6 +446,57 @@ func (p *Program) markScalars(vary []uint8) {
 			}
 		}
 	}
+	p.fuseLoads()
+}
+
+// fuseLoads fuses a lane iadd of a column and a scalar into the load
+// right after it in the same straight-line span, when that load is the
+// only reader of the sum and the iadd its only writer. Nothing runs
+// between the two, so the load can add the iadd's operands itself: no
+// index column is written or read back, and the iadd only charges. A
+// load whose column is a gid register (its one writer is a gid
+// instruction, so it aliases the gid column) also gets a row shape.
+func (p *Program) fuseLoads() {
+	writers := make([]int, p.nIReg)
+	readers := make([]int, p.nIReg)
+	row := make([]uint8, p.nIReg) // the row shape of a gid instruction's register
+	for pc := range p.code {
+		in := &p.code[pc]
+		if r := p.intDst(pc); r >= 0 {
+			writers[r]++
+			if in.op == opGID {
+				row[r] = shRowCopy << in.imm
+			}
+		}
+		for j := 0; j < intArgs(in); j++ {
+			readers[in.arg(j)]++
+		}
+	}
+	var walk func(nds []bnode)
+	walk = func(nds []bnode) {
+		for i := range nds {
+			nd := &nds[i]
+			walk(nd.body)
+			walk(nd.els)
+			for pc := nd.lo; nd.kind == bSeq && pc+1 < nd.hi; pc++ {
+				add, ld, sh := &p.code[pc], &p.code[pc+1], p.shapes[pc]
+				if add.op != opIAdd || sh != shA && sh != shB || ld.op != opLoad || ld.a != add.dst ||
+					writers[add.dst] != 1 || readers[add.dst] != 1 {
+					continue
+				}
+				col := add.a
+				if sh == shA {
+					col = add.b
+				}
+				p.shapes[pc] |= shFuse
+				p.shapes[pc+1] = shFuse
+				if writers[col] == 1 {
+					p.shapes[pc+1] |= row[col]
+				}
+			}
+		}
+	}
+	walk(p.nodes)
 }
 
 // onceOp reports whether op may run once per round on scalar slots: an

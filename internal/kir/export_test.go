@@ -64,18 +64,29 @@ func (p *Program) LoopUniform() []bool {
 // Shapes returns p's disassembly with each instruction that runs once
 // per round marked "once", and each lane instruction or uniform loop
 // head that reads operand a or b from its scalar slot marked "a" or "b".
+// A fused iadd is also marked "fused", and a fused load "gather",
+// "copy" (a gid0 row load) or "broadcast" (a gid1 row load).
 func (p *Program) Shapes() []string {
 	lines := strings.Split(strings.TrimSuffix(p.Disassemble(), "\n"), "\n")[1:]
 	for pc, sh := range p.shapes {
-		switch sh {
-		case shOnce:
-			lines[pc] += "  [once]"
-		case shA:
-			lines[pc] += "  [a]"
-		case shB:
-			lines[pc] += "  [b]"
-		case shA | shB:
-			lines[pc] += "  [a b]"
+		var tags []string
+		for _, t := range []struct {
+			bit uint8
+			tag string
+		}{{shOnce, "once"}, {shA, "a"}, {shB, "b"}, {shRowCopy, "copy"}, {shRowBcast, "broadcast"}} {
+			if sh&t.bit != 0 {
+				tags = append(tags, t.tag)
+			}
+		}
+		switch {
+		case sh&shFuse == 0:
+		case p.code[pc].op == opIAdd:
+			tags = append(tags, "fused")
+		case sh&(shRowCopy|shRowBcast) == 0:
+			tags = append(tags, "gather")
+		}
+		if len(tags) > 0 {
+			lines[pc] += "  [" + strings.Join(tags, " ") + "]"
 		}
 	}
 	return lines

@@ -99,9 +99,14 @@ type interpState struct {
 // the dynamic counts. Functional effects (stores) land in env.Bufs with
 // storage-precision rounding. A launch runs on the batch engine when its
 // key has a static precision tape, and on the reference walker
-// otherwise; the results are identical either way. Errors report
-// out-of-bounds accesses, argument mismatches and integer division by
-// zero.
+// otherwise. The results are identical either way when the kernel is
+// race-free: no work item reads or writes an element that another work
+// item writes in the same launch. The batch engine runs each
+// instruction over every lane before the next instruction, while the
+// walker runs one whole item after another, so a racing kernel may see
+// a different last write. Nothing checks the condition; the suite's
+// kernels are written to meet it. Errors report out-of-bounds accesses,
+// argument mismatches and integer division by zero.
 func (p *Program) Run(env *ExecEnv) (Counts, error) {
 	k := p.Kernel
 	if len(env.Bufs) != len(k.Bufs) {

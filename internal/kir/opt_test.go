@@ -383,9 +383,10 @@ func (g *kgen) stmt(depth int) Stmt {
 // triangular and gid-bounded loops, loops started at a variable,
 // boundary ifs that give one run at an offset or split runs, uniform
 // and data-dependent ifs, ints assigned under divergent ifs and loops
-// and read after them, uniform-index loads, and loop-carried variance:
-// an int read early in a loop body and reassigned from a gid later in
-// it, so it is uniform only in the first round.
+// and read after them, uniform-index loads, unclamped affine loads over
+// a loop variable and a gid, and loop-carried variance: an int read
+// early in a loop body and reassigned from a gid later in it, so it is
+// uniform only in the first round.
 func shapeKernel(rng *rand.Rand, bufLen int) (*Kernel, [2]int) {
 	g := &kgen{rng: rng, bufLen: bufLen, shapes: true, dims: 1 + rng.Intn(2)}
 	body := []Stmt{LetI("i0", g.intExpr(1)), Let{Name: "f0", Kind: KindFloat, Init: g.floatExpr(1)}}
@@ -457,8 +458,9 @@ func (g *kgen) shapeStmts(depth int) []Stmt {
 }
 
 // load is shapeKernel's load: from in at any index, rarely one past a
-// loop variable, which reads out of bounds when n is bufLen, or from
-// the item's own part of out.
+// loop variable, which reads out of bounds when n is bufLen, or at an
+// unclamped affine index (see affine), or from the item's own part of
+// out.
 func (g *kgen) load() Expr {
 	switch g.rng.Intn(12) {
 	case 0:
@@ -467,8 +469,30 @@ func (g *kgen) load() Expr {
 		}
 	case 1, 2, 3:
 		return At("out", g.own(g.index()))
+	case 4, 5, 6, 7:
+		if len(g.loops) > 0 {
+			return At("in", g.affine())
+		}
 	}
 	return At("in", g.index())
+}
+
+// affine draws an unclamped index over an enclosing loop variable k:
+// k*w + gid0, k*w + gid1 or gid0*w + k, with w = n or a small
+// constant. These are the suite's row loads and fixed-stride gathers,
+// which the batch engine fuses with their index add. When n is bufLen
+// they read out of bounds in the last rows of an n*n in, part-way
+// through a row or a run, and in most rows of a bufLen-long one.
+func (g *kgen) affine() Expr {
+	k := V(g.pick(g.loops))
+	w := Expr(P("n"))
+	if g.rng.Intn(2) == 0 {
+		w = I(int64(1 + g.rng.Intn(3)))
+	}
+	if g.rng.Intn(3) == 0 {
+		return Add(Mul(Gid(0), w), k)
+	}
+	return Add(Mul(k, w), Gid(g.rng.Intn(g.dims)))
 }
 
 // loop generates a counted loop over one of the bound shapes. Every
@@ -572,8 +596,9 @@ func (g *kgen) carried(depth int) []Stmt {
 // checkShapeKernel runs shapeKernel(seed) through Compile and
 // CompileUnoptimized on the batch engine against the Reference walker
 // at each strip size, for n = 0 (every loop bounded by n skips) and
-// n = bufLen, with per-buffer storage and compute precisions from prec
-// (as in FuzzBatchVsReference).
+// n = bufLen, with in bufLen and bufLen*bufLen elements long and
+// per-buffer storage and compute precisions from prec (as in
+// FuzzBatchVsReference).
 func checkShapeKernel(t *testing.T, seed int64, prec uint16, strips []int) {
 	const bufLen = 12
 	k, global := shapeKernel(rand.New(rand.NewSource(seed)), bufLen)
@@ -586,9 +611,10 @@ func checkShapeKernel(t *testing.T, seed int64, prec uint16, strips []int) {
 		storage[i] = precision.All[int(b&3)%3]
 		ca[i] = precision.Type(b >> 2 & 3)
 	}
+	var run string // the launch running when a check fails
 	defer func() {
 		if t.Failed() {
-			t.Logf("seed %d, NDRange %v, storage %v, compute %v:\n%s", seed, global, storage, ca, k)
+			t.Logf("seed %d, NDRange %v, storage %v, compute %v, %s:\n%s", seed, global, storage, ca, run, k)
 		}
 	}()
 	for _, compile := range []func(*Kernel) (*Program, error){Compile, CompileUnoptimized} {
@@ -597,13 +623,16 @@ func checkShapeKernel(t *testing.T, seed int64, prec uint16, strips []int) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, n := range []int64{0, bufLen} {
-			mk := mkEnv(uint64(seed), storage, []int{bufLen, 80 * bufLen}, ca, []int64{n}, global)
-			for _, strip := range strips {
-				runBothEngines(t, p, func() *ExecEnv {
-					env := mk()
-					env.Strip = strip
-					return env
-				})
+			for _, inLen := range []int{bufLen, bufLen * bufLen} {
+				mk := mkEnv(uint64(seed), storage, []int{inLen, 80 * bufLen}, ca, []int64{n}, global)
+				for _, strip := range strips {
+					run = fmt.Sprintf("n %d, in %d long, strip %d", n, inLen, strip)
+					runBothEngines(t, p, func() *ExecEnv {
+						env := mk()
+						env.Strip = strip
+						return env
+					})
+				}
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func main() {
 }
 
 func report(label string, sp *core.ScaledProgram) {
-	d := sp.Search.TypeDist()
+	d := sp.Config.TypeDist()
 	fmt.Printf("%-14s speedup %.2fx  quality %.4f  types FP64:%d FP32:%d FP16:%d\n",
 		label, sp.Speedup(), sp.Quality(),
 		d[precision.Double], d[precision.Single], d[precision.Half])

@@ -34,39 +34,31 @@ func (r *Runner) Ablation(sys *hw.System) (*Table, error) {
 			"benchmark", "full", "no-wildcard", "no-prepass", "trials full", "trials no-wildcard",
 		},
 	}
-	variants := []struct {
-		name string
-		opts scaler.Options
-	}{
-		{"full", scaler.DefaultOptions()},
-		{"no-wildcard", scaler.Options{TOQ: 0.90, DisableWildcard: true}},
-		{"no-prepass", scaler.Options{TOQ: 0.90, DisableFullPrecisionPass: true}},
+	variants := []scaler.Options{
+		scaler.DefaultOptions(), // full
+		{TOQ: 0.90, DisableWildcard: true},
+		{TOQ: 0.90, DisableFullPrecisionPass: true},
 	}
-	var tasks []prefetchTask
-	for _, v := range variants {
-		for _, w := range r.Suite {
-			tasks = append(tasks, prefetchTask{sys: sys, w: w, opts: v.opts})
-		}
+	var tasks []task
+	for _, opts := range variants {
+		tasks = append(tasks, r.suiteTasks(false, opts, sys)...)
 	}
-	if err := r.prefetch(tasks); err != nil {
+	res, err := r.measure(tasks)
+	if err != nil {
 		return nil, err
 	}
 	var geo [3][]float64
-	for _, w := range r.Suite {
+	n := len(r.Suite)
+	for j, w := range r.Suite {
 		row := []string{w.Name}
-		var results [3]*scaler.Result
-		for i, v := range variants {
-			res, err := r.scale(sys, w, v.opts)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-			geo[i] = append(geo[i], res.Speedup)
-			row = append(row, f2(res.Speedup))
+		for i := range variants {
+			s := res[i*n+j].ps
+			geo[i] = append(geo[i], s.Speedup)
+			row = append(row, f2(s.Speedup))
 		}
 		row = append(row,
-			fmt.Sprintf("%d", results[0].Trials),
-			fmt.Sprintf("%d", results[1].Trials))
+			fmt.Sprintf("%d", res[j].ps.Trials),
+			fmt.Sprintf("%d", res[n+j].ps.Trials))
 		t.Rows = append(t.Rows, row)
 	}
 	t.Rows = append(t.Rows, []string{

@@ -44,15 +44,13 @@ type BenchReport struct {
 // reusing the runner's cached comparisons.
 func (r *Runner) BenchFig9(sys *hw.System, opts scaler.Options) (*BenchReport, error) {
 	rep := &BenchReport{System: sys.Name, PaperGeomean: PaperGeomeans[sys.Name]}
-	if err := r.prefetch(r.compareTasks(sys, opts)); err != nil {
+	res, err := r.measure(r.suiteTasks(true, opts, sys))
+	if err != nil {
 		return nil, err
 	}
 	var ik, pfp, ps []float64
-	for _, w := range r.Suite {
-		c, err := r.Compare(sys, w, opts)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Suite {
+		c := res[i].cmp
 		ik = append(ik, c.InKernel.Speedup)
 		pfp = append(pfp, c.PFP.Speedup)
 		ps = append(ps, c.PreScaler.Speedup)

@@ -25,11 +25,11 @@ import (
 // Heavy fields (outputs, op traces, runtime events, the profile) are
 // not persisted and are nil on restored results; no table reads them.
 //
-// A task's file name is keyed by a hash of the task key, the system's
-// jitter configuration, a fingerprint of the workload's shape, and the
-// runner's fault/retry environment, so a checkpoint directory written by
-// a quick-suite or chaos run can never satisfy a full-suite or
-// faults-off run by accident.
+// A task's file name is keyed by a hash of the task key (which carries
+// the system's jitter configuration), a fingerprint of the workload's
+// shape, and the runner's fault/retry environment, so a checkpoint
+// directory written by a quick-suite or chaos run can never satisfy a
+// full-suite or faults-off run by accident.
 type Checkpoint struct {
 	dir string
 }
@@ -47,8 +47,8 @@ func (c *Checkpoint) Dir() string { return c.dir }
 
 // fingerprint identifies the workload shape and runner environment the
 // result was measured under; see the type comment.
-func (r *Runner) fingerprint(t prefetchTask, key string) string {
-	fp := fmt.Sprintf("%s|%s|%s/%v", key, fwKey(t.sys), t.w.Name, t.w.Original)
+func (r *Runner) fingerprint(t task, key string) string {
+	fp := fmt.Sprintf("%s|%s/%v", key, t.w.Name, t.w.Original)
 	for _, o := range t.w.Objects {
 		fp += fmt.Sprintf("|%s:%d:%v", o.Name, o.Len, o.Kind)
 	}
@@ -57,7 +57,7 @@ func (r *Runner) fingerprint(t prefetchTask, key string) string {
 }
 
 // path returns the checkpoint file for a task.
-func (c *Checkpoint) path(t prefetchTask, fingerprint string) string {
+func (c *Checkpoint) path(t task, fingerprint string) string {
 	h := fnv.New64a()
 	h.Write([]byte(fingerprint))
 	kind := "cmp"
@@ -155,40 +155,10 @@ type ckCompare struct {
 	PreScaler ckScaler  `json:"prescaler"`
 }
 
-// load reads the checkpoint for a task, returning (nil, nil, false) when
-// absent, unreadable, or fingerprint-mismatched — a corrupt or foreign
-// file is treated as a miss, never an error.
-func (c *Checkpoint) load(t prefetchTask, fingerprint string) (*core.Comparison, *scaler.Result, bool) {
-	data, err := os.ReadFile(c.path(t, fingerprint))
-	if err != nil {
-		return nil, nil, false
-	}
+// toCkTask returns the persisted subset of a task's result.
+func toCkTask(res result) ckTask {
 	var ck ckTask
-	if err := json.Unmarshal(data, &ck); err != nil || ck.Fingerprint != fingerprint {
-		return nil, nil, false
-	}
-	switch {
-	case t.compare && ck.Compare != nil:
-		return &core.Comparison{
-			Workload:  ck.Compare.Workload,
-			Baseline:  ck.Compare.Baseline.restore(),
-			InKernel:  ck.Compare.InKernel.restore(),
-			PFP:       ck.Compare.PFP.restore(),
-			PreScaler: ck.Compare.PreScaler.restore(),
-		}, nil, true
-	case !t.compare && ck.Scale != nil:
-		return nil, ck.Scale.restore(), true
-	}
-	return nil, nil, false
-}
-
-// save persists a completed task atomically. Failures are reported to
-// the caller for logging but never fail the run: a checkpoint is an
-// optimization, not an output.
-func (c *Checkpoint) save(t prefetchTask, fingerprint string, cmp *core.Comparison, scl *scaler.Result) error {
-	ck := ckTask{Fingerprint: fingerprint}
-	switch {
-	case cmp != nil:
+	if cmp := res.cmp; cmp != nil {
 		ck.Compare = &ckCompare{
 			Workload:  cmp.Workload,
 			Baseline:  toCkOutcome(cmp.Baseline),
@@ -196,12 +166,53 @@ func (c *Checkpoint) save(t prefetchTask, fingerprint string, cmp *core.Comparis
 			PFP:       toCkOutcome(cmp.PFP),
 			PreScaler: toCkScaler(cmp.PreScaler),
 		}
-	case scl != nil:
-		s := toCkScaler(scl)
+	} else {
+		s := toCkScaler(res.ps)
 		ck.Scale = &s
-	default:
-		return nil
 	}
+	return ck
+}
+
+// restore returns the result a comparison task (compare) or a
+// PreScaler-only task reads from ck, reporting false when ck holds the
+// other kind.
+func (ck *ckTask) restore(compare bool) (result, bool) {
+	switch {
+	case compare && ck.Compare != nil:
+		cmp := &core.Comparison{
+			Workload:  ck.Compare.Workload,
+			Baseline:  ck.Compare.Baseline.restore(),
+			InKernel:  ck.Compare.InKernel.restore(),
+			PFP:       ck.Compare.PFP.restore(),
+			PreScaler: ck.Compare.PreScaler.restore(),
+		}
+		return result{cmp: cmp, ps: cmp.PreScaler}, true
+	case !compare && ck.Scale != nil:
+		return result{ps: ck.Scale.restore()}, true
+	}
+	return result{}, false
+}
+
+// load reads the checkpoint for a task, reporting false when absent,
+// unreadable, or fingerprint-mismatched — a corrupt or foreign file is
+// treated as a miss, never an error.
+func (c *Checkpoint) load(t task, fingerprint string) (result, bool) {
+	data, err := os.ReadFile(c.path(t, fingerprint))
+	if err != nil {
+		return result{}, false
+	}
+	var ck ckTask
+	if err := json.Unmarshal(data, &ck); err != nil || ck.Fingerprint != fingerprint {
+		return result{}, false
+	}
+	return ck.restore(t.compare)
+}
+
+// save persists a completed task's record atomically. Failures are
+// reported to the caller for logging but never fail the run: a
+// checkpoint is an optimization, not an output.
+func (c *Checkpoint) save(t task, fingerprint string, ck ckTask) error {
+	ck.Fingerprint = fingerprint
 	data, err := json.MarshalIndent(&ck, "", " ")
 	if err != nil {
 		return err

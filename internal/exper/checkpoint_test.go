@@ -72,7 +72,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Fully-checkpointed run: nothing executes, artifacts still match —
-	// including through the parallel prefetch filter.
+	// including at Jobs 8.
 	r3 := ckRunner(t, dir)
 	r3.Jobs = 8
 	got3 := fig9CSV(t, r3)
@@ -89,16 +89,17 @@ func TestCheckpointResume(t *testing.T) {
 func TestCheckpointScaleTasks(t *testing.T) {
 	dir := t.TempDir()
 	opts := scaler.DefaultOptions()
-	r1 := ckRunner(t, dir)
-	want, err := r1.scale(hw.System1(), r1.Suite[1], opts)
-	if err != nil {
-		t.Fatal(err)
+	scale := func(r *Runner) *scaler.Result {
+		t.Helper()
+		res, err := r.measure([]task{{sys: hw.System1(), w: r.Suite[1], opts: opts}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].ps
 	}
+	want := scale(ckRunner(t, dir))
 	r2 := ckRunner(t, dir)
-	got, err := r2.scale(hw.System1(), r2.Suite[1], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scale(r2)
 	if r2.TasksRestored() != 1 {
 		t.Fatalf("scale task not restored")
 	}

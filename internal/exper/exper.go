@@ -79,24 +79,24 @@ func (t *Table) String() string {
 }
 
 // Runner executes experiments over a benchmark suite, caching frameworks
-// and comparisons. A Runner's exported methods are not goroutine-safe;
-// parallelism comes from the internal prefetch pool, which runs the
-// (system × benchmark) measurements across Jobs workers and merges them
-// into the caches in deterministic task order before any table is built,
-// so every rendered table and CSV is byte-identical to a sequential run
-// (see DESIGN.md, "Determinism under parallelism").
+// and measurements. A Runner's exported methods are not goroutine-safe;
+// parallelism comes from measure, the one place a measurement task runs:
+// it runs the tasks a table needs across Jobs workers and merges them into
+// the cache in deterministic task order before the table is built, so
+// every rendered table and CSV is byte-identical at any Jobs (see
+// DESIGN.md, "Determinism under parallelism").
 type Runner struct {
 	Suite []*prog.Workload
 	// Ctx, when non-nil, is threaded into every framework call so a
 	// driver can cancel a whole experiment run (for example on SIGINT);
-	// cancellation aborts the in-flight search within one trial
-	// boundary. Nil behaves like context.Background().
+	// cancellation aborts the in-flight searches within one trial
+	// boundary and starts no further task. Nil behaves like
+	// context.Background().
 	Ctx  context.Context
 	fws  map[string]*core.Framework
-	cmps map[string]*core.Comparison
-	scls map[string]*scaler.Result
+	done map[string]result
 	// Jobs bounds the number of concurrent measurement workers; 0 or 1
-	// runs everything sequentially.
+	// runs one worker.
 	Jobs int
 	// Log receives progress lines; nil disables logging. Line order (but
 	// not content) varies with Jobs.
@@ -125,12 +125,11 @@ type Runner struct {
 	Retries int
 	// Checkpoint, when non-nil, persists each completed measurement task
 	// and restores it on a later run instead of re-executing (see
-	// Checkpoint). Tasks carrying an observer bypass it: an observed run
-	// exists to produce traces, not just numbers.
+	// Checkpoint).
 	Checkpoint *Checkpoint
 	// tasksRun / tasksRestored count measurement tasks executed vs served
-	// from the checkpoint. Both are mutated only on the sequential
-	// control path (task filtering and merging), like the result caches.
+	// from the checkpoint. Both are mutated only on measure's sequential
+	// filter and merge, like the result cache.
 	tasksRun      int
 	tasksRestored int
 }
@@ -148,8 +147,7 @@ func NewRunner(suite []*prog.Workload) *Runner {
 	return &Runner{
 		Suite:   suite,
 		fws:     map[string]*core.Framework{},
-		cmps:    map[string]*core.Comparison{},
-		scls:    map[string]*scaler.Result{},
+		done:    map[string]result{},
 		Retries: 2,
 	}
 }
@@ -205,14 +203,6 @@ func fwKey(sys *hw.System) string {
 	return fmt.Sprintf("%s/%g/%d", sys.Name, sys.TimingJitter, sys.JitterSeed)
 }
 
-// taskKey keys the comparison and scale caches. The ablation flags are
-// part of the key: the same workload searched with the wildcard or the
-// pre-full-precision pass disabled is a different measurement.
-func taskKey(sys *hw.System, w *prog.Workload, opts scaler.Options) string {
-	return fmt.Sprintf("%s/%s/%v/%.2f/%t/%t", sys.Name, w.Name, opts.InputSet, opts.TOQ,
-		opts.DisableWildcard, opts.DisableFullPrecisionPass)
-}
-
 // Framework returns the (cached) framework for a system. When the
 // runner injects faults, the framework is built over a clone of sys
 // carrying the spec, so callers' systems are never mutated and every
@@ -232,16 +222,189 @@ func (r *Runner) Framework(sys *hw.System) *core.Framework {
 	return fw
 }
 
-// runTask executes one measurement task against fw with panic isolation
-// and bounded task-level retry. A panic anywhere in the task — a worker
-// goroutine included — is recovered into a fault.PanicError instead of
-// taking down the process. A failure classified as fault-induced
-// (ocl.IsFault: an injected error, allocation exhaustion, device loss,
-// or a recovered panic) is retried up to r.Retries times; each attempt
-// shifts the system's fault salt by attempt<<16, occupying the high
-// word so it cannot collide with the scaler's own per-trial low-word
-// salts. Programming errors are returned immediately.
-func (r *Runner) runTask(fw *core.Framework, t prefetchTask, opts scaler.Options) (cmp *core.Comparison, scl *scaler.Result, err error) {
+// task is one unit of measurement work: a four-technique comparison
+// (compare) or a PreScaler-only search of w on sys.
+type task struct {
+	sys     *hw.System
+	w       *prog.Workload
+	opts    scaler.Options
+	compare bool
+}
+
+// key keys the result cache and the checkpoint. The system's jitter and
+// the ablation flags are part of it: the same workload searched on a
+// jittered system, or with the wildcard or the pre-full-precision pass
+// disabled, is a different measurement. TOQ is keyed exactly (%x), so
+// TOQs that print alike at two decimals stay apart.
+func (t task) key() string {
+	o := t.opts
+	return fmt.Sprintf("%s/%s/%v/%x/%t/%t", fwKey(t.sys), t.w.Name, o.InputSet, o.TOQ,
+		o.DisableWildcard, o.DisableFullPrecisionPass)
+}
+
+// suiteTasks returns one task per suite workload on each system,
+// system-major and in suite order.
+func (r *Runner) suiteTasks(compare bool, opts scaler.Options, systems ...*hw.System) []task {
+	var tasks []task
+	for _, sys := range systems {
+		for _, w := range r.Suite {
+			tasks = append(tasks, task{sys: sys, w: w, opts: opts, compare: compare})
+		}
+	}
+	return tasks
+}
+
+// result is one measured task: the PreScaler search and, for a
+// comparison, the whole comparison around it.
+type result struct {
+	cmp *core.Comparison // nil for a PreScaler-only task
+	ps  *scaler.Result
+}
+
+// cached returns the cached result that serves t: any result for a
+// PreScaler-only task, a comparison for a comparison task.
+func (r *Runner) cached(t task) (result, bool) {
+	res, ok := r.done[t.key()]
+	return res, ok && (res.cmp != nil || !t.compare)
+}
+
+// measure returns each task's result, in task order. It is the one place
+// a measurement task runs: cached tasks are read from the cache,
+// checkpointed ones restored, and the rest run through runTask over
+// max(Jobs, 1) workers. Each worker owns cloned frameworks (a cloned
+// system model; the inspector database is immutable and shared by
+// reference), so no mutable state is shared; results land in
+// index-addressed slots and merge into the cache, the checkpoint and the
+// counters in task order, which makes every table built from them
+// independent of worker scheduling. Every failed task is reported
+// (joined in task order), so one bad workload cannot mask another. Once
+// Ctx is done no further task starts, and the cancellation is reported
+// once.
+func (r *Runner) measure(tasks []task) ([]result, error) {
+	type slot struct {
+		task
+		key string
+		ck  *ckTask // the record of a finished task
+		err error
+	}
+	var todo []*slot
+	queued := map[string]bool{} // key -> a comparison is queued
+	for _, t := range tasks {
+		key := t.key()
+		if cmp, ok := queued[key]; ok && (cmp || !t.compare) {
+			continue
+		}
+		if _, ok := r.cached(t); ok {
+			continue
+		}
+		if r.Checkpoint != nil {
+			if res, ok := r.Checkpoint.load(t, r.fingerprint(t, key)); ok {
+				r.tasksRestored++
+				r.logf("restored %s on %s from checkpoint", t.w.Name, t.sys.Name)
+				r.done[key] = res
+				continue
+			}
+		}
+		queued[key] = t.compare
+		todo = append(todo, &slot{task: t, key: key})
+	}
+	// Materialize (and log) the base frameworks up front so workers only
+	// clone; concurrent reads of r.fws are then write-free.
+	for _, s := range todo {
+		r.Framework(s.sys)
+	}
+	ctx := r.ctx()
+	work := make(chan *slot)
+	var wg sync.WaitGroup
+	for i := 0; i < min(max(r.Jobs, 1), len(todo)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fws := map[string]*core.Framework{}
+			for s := range work {
+				if ctx.Err() != nil {
+					continue
+				}
+				key := fwKey(s.sys)
+				fw, ok := fws[key]
+				if !ok {
+					fw = r.fws[key].Clone()
+					fws[key] = fw
+				}
+				res, err := r.runTask(fw, s.task)
+				if err == nil {
+					// Keep only what a checkpoint keeps, which is all the
+					// tables read, so a task's outputs, traces and profile
+					// are garbage as soon as it ends.
+					ck := toCkTask(res)
+					s.ck = &ck
+				}
+				s.err = err
+			}
+		}()
+	}
+	for _, s := range todo {
+		if ctx.Err() != nil {
+			break
+		}
+		work <- s
+	}
+	close(work)
+	wg.Wait()
+	var errs []error
+	canceled := false
+	for _, s := range todo {
+		switch {
+		case s.ck != nil:
+			r.done[s.key], _ = s.ck.restore(s.compare)
+			r.tasksRun++
+			if r.Checkpoint == nil {
+				continue
+			}
+			// A failed write is logged, never fatal: the result is
+			// already cached.
+			if err := r.Checkpoint.save(s.task, r.fingerprint(s.task, s.key), *s.ck); err != nil {
+				r.logf("checkpoint write for %s on %s failed: %v", s.w.Name, s.sys.Name, err)
+			}
+		case ctx.Err() != nil && (s.err == nil || errors.Is(s.err, ctx.Err())):
+			canceled = true // not started, or stopped by the cancellation
+		default:
+			errs = append(errs, fmt.Errorf("%s on %s: %w", s.w.Name, s.sys.Name, s.err))
+		}
+	}
+	if canceled {
+		errs = append(errs, ctx.Err())
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	out := make([]result, len(tasks))
+	for i, t := range tasks {
+		out[i], _ = r.cached(t)
+	}
+	return out, nil
+}
+
+// runTask executes one measurement task against fw, with a fresh
+// EvalCache and the runner's Retries, under panic isolation and bounded
+// task-level retry. A panic anywhere in the task — a worker goroutine
+// included — is recovered into a fault.PanicError instead of taking down
+// the process. A failure classified as fault-induced (ocl.IsFault: an
+// injected error, allocation exhaustion, device loss, or a recovered
+// panic) is retried up to r.Retries times; each attempt shifts the
+// system's fault salt by attempt<<16, occupying the high word so it
+// cannot collide with the scaler's own per-trial low-word salts.
+// Programming errors are returned immediately.
+func (r *Runner) runTask(fw *core.Framework, t task) (res result, err error) {
+	verb := "prescaler"
+	if t.compare {
+		verb = "comparing"
+	}
+	r.logf("%s %s on %s (set=%v toq=%.2f) ...", verb, t.w.Name, t.sys.Name, t.opts.InputSet, t.opts.TOQ)
+	opts := t.opts
+	opts.Retries = r.Retries
+	opts.EvalCache = r.cacheFor()
+	defer r.addStats(opts.EvalCache)
 	sys := fw.System()
 	base := sys.FaultSalt
 	defer func() { sys.FaultSalt = base }()
@@ -249,25 +412,25 @@ func (r *Runner) runTask(fw *core.Framework, t prefetchTask, opts scaler.Options
 		sys.FaultSalt = base + uint64(attempt)<<16
 		err = fault.Guard(func() error {
 			if t.compare {
-				c, e := fw.Compare(r.ctx(), t.w, opts)
-				if e != nil {
-					return e
+				c, err := fw.Compare(r.ctx(), t.w, opts)
+				if err != nil {
+					return err
 				}
-				cmp = c
+				res = result{cmp: c, ps: c.PreScaler}
 				return nil
 			}
-			sp, e := fw.Scale(r.ctx(), t.w, opts)
-			if e != nil {
-				return e
+			sp, err := fw.Scale(r.ctx(), t.w, opts)
+			if err != nil {
+				return err
 			}
-			scl = sp.Search
+			res = result{ps: sp.Search}
 			return nil
 		})
 		if err == nil {
-			return cmp, scl, nil
+			return res, nil
 		}
 		if !ocl.IsFault(err) || attempt >= r.Retries {
-			return nil, nil, err
+			return result{}, err
 		}
 		r.logf("task %s on %s attempt %d failed: %v; retrying", t.w.Name, t.sys.Name, attempt+1, err)
 	}
@@ -276,213 +439,38 @@ func (r *Runner) runTask(fw *core.Framework, t prefetchTask, opts scaler.Options
 // Compare returns the (cached) four-technique comparison for one
 // workload.
 func (r *Runner) Compare(sys *hw.System, w *prog.Workload, opts scaler.Options) (*core.Comparison, error) {
-	key := taskKey(sys, w, opts)
-	if c, ok := r.cmps[key]; ok {
-		return c, nil
-	}
-	t := prefetchTask{sys: sys, w: w, opts: opts, compare: true}
-	if c, _, ok := r.restore(t, key); ok {
-		r.cmps[key] = c
-		return c, nil
-	}
-	r.logf("comparing %s on %s (set=%v toq=%.2f) ...", w.Name, sys.Name, opts.InputSet, opts.TOQ)
-	opts.Retries = r.Retries
-	opts.EvalCache = r.cacheFor()
-	c, _, err := r.runTask(r.Framework(sys), t, opts)
-	r.addStats(opts.EvalCache)
+	res, err := r.measure([]task{{sys: sys, w: w, opts: opts, compare: true}})
 	if err != nil {
 		return nil, err
 	}
-	r.cmps[key] = c
-	r.persist(t, key, c, nil)
-	return c, nil
+	return res[0].cmp, nil
 }
 
-// scale runs only PreScaler (cached, and served from a comparison with
-// the same settings when one exists).
-func (r *Runner) scale(sys *hw.System, w *prog.Workload, opts scaler.Options) (*scaler.Result, error) {
-	key := taskKey(sys, w, opts)
-	if c, ok := r.cmps[key]; ok {
-		return c.PreScaler, nil
-	}
-	if s, ok := r.scls[key]; ok {
-		return s, nil
-	}
-	t := prefetchTask{sys: sys, w: w, opts: opts}
-	if _, s, ok := r.restore(t, key); ok {
-		r.scls[key] = s
-		return s, nil
-	}
-	r.logf("prescaler %s on %s (set=%v toq=%.2f) ...", w.Name, sys.Name, opts.InputSet, opts.TOQ)
-	opts.Retries = r.Retries
-	opts.EvalCache = r.cacheFor()
-	_, s, err := r.runTask(r.Framework(sys), t, opts)
-	r.addStats(opts.EvalCache)
-	if err != nil {
-		return nil, err
-	}
-	r.scls[key] = s
-	r.persist(t, key, nil, s)
-	return s, nil
-}
+// dist tallies configurations' memory-object types (FP64, FP32, FP16)
+// and transfer conversion classes (none, host, device, transient,
+// pipelined) over a suite, keyed by column name.
+type dist map[string]int
 
-// restore serves a task from the checkpoint directory when possible.
-// Observed tasks never restore: their purpose is the execution itself.
-func (r *Runner) restore(t prefetchTask, key string) (*core.Comparison, *scaler.Result, bool) {
-	if r.Checkpoint == nil || t.opts.Obs != nil {
-		return nil, nil, false
-	}
-	cmp, scl, ok := r.Checkpoint.load(t, r.fingerprint(t, key))
-	if ok {
-		r.tasksRestored++
-		r.logf("restored %s on %s from checkpoint", t.w.Name, t.sys.Name)
-	}
-	return cmp, scl, ok
-}
+// distCols are dist's columns, in table order.
+var distCols = []string{"FP64", "FP32", "FP16", "none", "host", "device", "transient", "pipelined"}
 
-// persist counts an executed task and writes its checkpoint, if any.
-// Write failures are logged, never fatal: the results are already in
-// the in-memory caches.
-func (r *Runner) persist(t prefetchTask, key string, cmp *core.Comparison, scl *scaler.Result) {
-	r.tasksRun++
-	if r.Checkpoint == nil || t.opts.Obs != nil {
-		return
+// add tallies w's configuration cfg.
+func (d dist) add(cfg *prog.Config, w *prog.Workload) {
+	for t, n := range cfg.TypeDist() {
+		d[t.String()] += n
 	}
-	if err := r.Checkpoint.save(t, r.fingerprint(t, key), cmp, scl); err != nil {
-		r.logf("checkpoint write for %s on %s failed: %v", t.w.Name, t.sys.Name, err)
+	for c, n := range cfg.ConvDist(w) {
+		d[c] += n
 	}
 }
 
-// prefetchTask is one unit of measurement work: a four-technique
-// comparison (compare=true) or a PreScaler-only scale.
-type prefetchTask struct {
-	sys     *hw.System
-	w       *prog.Workload
-	opts    scaler.Options
-	compare bool
-}
-
-// compareTasks builds one comparison task per suite workload.
-func (r *Runner) compareTasks(sys *hw.System, opts scaler.Options) []prefetchTask {
-	tasks := make([]prefetchTask, 0, len(r.Suite))
-	for _, w := range r.Suite {
-		tasks = append(tasks, prefetchTask{sys: sys, w: w, opts: opts, compare: true})
+// cells renders the tally as one cell per column of distCols.
+func (d dist) cells() []string {
+	out := make([]string, len(distCols))
+	for i, c := range distCols {
+		out[i] = fmt.Sprintf("%d", d[c])
 	}
-	return tasks
-}
-
-// prefetch executes the not-yet-cached tasks across Jobs workers and
-// merges the results into the runner caches in task order. Each worker
-// owns cloned frameworks (a cloned system model; the inspector database
-// is immutable and shared by reference), so no mutable state is shared;
-// results land in an index-addressed slice and the sequential merge
-// makes cache contents — and therefore every table built from them —
-// independent of worker scheduling. When several tasks fail, every
-// distinct failure is reported (joined in task order, lowest index
-// first), so one bad workload cannot mask another. Tasks carrying an
-// observer are skipped: observed runs must execute in the sequential
-// schedule to keep their traces deterministic. Checkpointed tasks are
-// restored during the (sequential) filter, before any worker starts.
-func (r *Runner) prefetch(tasks []prefetchTask) error {
-	if r.Jobs <= 1 {
-		return nil
-	}
-	type slot struct {
-		task prefetchTask
-		key  string
-		cmp  *core.Comparison
-		scl  *scaler.Result
-		err  error
-	}
-	var todo []*slot
-	seen := map[string]bool{}
-	for _, t := range tasks {
-		if t.opts.Obs != nil {
-			continue
-		}
-		key := taskKey(t.sys, t.w, t.opts)
-		if seen[key] {
-			continue
-		}
-		if _, ok := r.cmps[key]; ok {
-			continue
-		}
-		if !t.compare {
-			if _, ok := r.scls[key]; ok {
-				continue
-			}
-		}
-		if cmp, scl, ok := r.restore(t, key); ok {
-			if cmp != nil {
-				r.cmps[key] = cmp
-			} else {
-				r.scls[key] = scl
-			}
-			continue
-		}
-		seen[key] = true
-		todo = append(todo, &slot{task: t, key: key})
-	}
-	if len(todo) < 2 {
-		return nil
-	}
-	// Materialize (and log) the base frameworks up front so workers only
-	// clone; concurrent reads of r.fws are then write-free.
-	for _, s := range todo {
-		r.Framework(s.task.sys)
-	}
-	workers := r.Jobs
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fws := map[string]*core.Framework{}
-			for i := range work {
-				s := todo[i]
-				t := s.task
-				key := fwKey(t.sys)
-				fw, ok := fws[key]
-				if !ok {
-					fw = r.fws[key].Clone()
-					fws[key] = fw
-				}
-				opts := t.opts
-				opts.Retries = r.Retries
-				opts.EvalCache = r.cacheFor()
-				if t.compare {
-					r.logf("comparing %s on %s (set=%v toq=%.2f) ...", t.w.Name, t.sys.Name, t.opts.InputSet, t.opts.TOQ)
-				} else {
-					r.logf("prescaler %s on %s (set=%v toq=%.2f) ...", t.w.Name, t.sys.Name, t.opts.InputSet, t.opts.TOQ)
-				}
-				s.cmp, s.scl, s.err = r.runTask(fw, t, opts)
-				r.addStats(opts.EvalCache)
-			}
-		}()
-	}
-	for i := range todo {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	var errs []error
-	for _, s := range todo {
-		if s.err != nil {
-			errs = append(errs, fmt.Errorf("%s on %s: %w", s.task.w.Name, s.task.sys.Name, s.err))
-			continue
-		}
-		if s.cmp != nil {
-			r.cmps[s.key] = s.cmp
-		} else if s.scl != nil {
-			r.scls[s.key] = s.scl
-		}
-		r.persist(s.task, s.key, s.cmp, s.scl)
-	}
-	return errors.Join(errs...)
+	return out
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
@@ -659,15 +647,13 @@ func (r *Runner) Fig9(sys *hw.System, opts scaler.Options) (*Table, error) {
 		Title:  "Speedup over baseline on " + sys.Name,
 		Header: []string{"benchmark", "in-kernel", "pfp", "prescaler", "prescaler quality", "trials"},
 	}
-	if err := r.prefetch(r.compareTasks(sys, opts)); err != nil {
+	res, err := r.measure(r.suiteTasks(true, opts, sys))
+	if err != nil {
 		return nil, err
 	}
 	var ik, pfp, ps []float64
-	for _, w := range r.Suite {
-		c, err := r.Compare(sys, w, opts)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Suite {
+		c := res[i].cmp
 		ik = append(ik, c.InKernel.Speedup)
 		pfp = append(pfp, c.PFP.Speedup)
 		ps = append(ps, c.PreScaler.Speedup)
@@ -687,56 +673,22 @@ func (r *Runner) Fig9(sys *hw.System, opts scaler.Options) (*Table, error) {
 // PreScaler on one system.
 func (r *Runner) Fig9Dist(sys *hw.System, opts scaler.Options) (*Table, error) {
 	t := &Table{
-		ID:    "fig9dist-" + sys.Name,
-		Title: "Result type and conversion method distribution on " + sys.Name,
-		Header: []string{
-			"technique", "FP64", "FP32", "FP16",
-			"none", "host", "device", "transient", "pipelined",
-		},
+		ID:     "fig9dist-" + sys.Name,
+		Title:  "Result type and conversion method distribution on " + sys.Name,
+		Header: append([]string{"technique"}, distCols...),
 	}
-	if err := r.prefetch(r.compareTasks(sys, opts)); err != nil {
+	res, err := r.measure(r.suiteTasks(true, opts, sys))
+	if err != nil {
 		return nil, err
 	}
-	typeCount := map[string]map[precision.Type]int{"pfp": {}, "prescaler": {}}
-	convCount := map[string]map[string]int{"pfp": {}, "prescaler": {}}
-	for _, w := range r.Suite {
-		c, err := r.Compare(sys, w, opts)
-		if err != nil {
-			return nil, err
-		}
-		for tech, cfg := range map[string]*prog.Config{
-			"pfp":       c.PFP.Config,
-			"prescaler": c.PreScaler.Config,
-		} {
-			for name, oc := range cfg.Objects {
-				typeCount[tech][oc.Target]++
-				spec := w.Object(name)
-				if spec == nil {
-					continue
-				}
-				storage := oc.Target
-				if oc.InKernel {
-					storage = w.Original
-				}
-				for _, p := range oc.Plans {
-					convCount[tech][p.Class(w.Original, storage)]++
-				}
-			}
-		}
+	pfp, prescaler := dist{}, dist{}
+	for i, w := range r.Suite {
+		pfp.add(res[i].cmp.PFP.Config, w)
+		prescaler.add(res[i].ps.Config, w)
 	}
-	for _, tech := range []string{"pfp", "prescaler"} {
-		t.Rows = append(t.Rows, []string{
-			tech,
-			fmt.Sprintf("%d", typeCount[tech][precision.Double]),
-			fmt.Sprintf("%d", typeCount[tech][precision.Single]),
-			fmt.Sprintf("%d", typeCount[tech][precision.Half]),
-			fmt.Sprintf("%d", convCount[tech]["none"]),
-			fmt.Sprintf("%d", convCount[tech]["host"]),
-			fmt.Sprintf("%d", convCount[tech]["device"]),
-			fmt.Sprintf("%d", convCount[tech]["transient"]),
-			fmt.Sprintf("%d", convCount[tech]["pipelined"]),
-		})
-	}
+	t.Rows = append(t.Rows,
+		append([]string{"pfp"}, pfp.cells()...),
+		append([]string{"prescaler"}, prescaler.cells()...))
 	return t, nil
 }
 
@@ -751,14 +703,12 @@ func (r *Runner) Fig10a(sys *hw.System, opts scaler.Options) (*Table, error) {
 			"benchmark", "B.K", "B.T", "K.K", "K.T", "F.K", "F.T", "P.K", "P.T",
 		},
 	}
-	if err := r.prefetch(r.compareTasks(sys, opts)); err != nil {
+	res, err := r.measure(r.suiteTasks(true, opts, sys))
+	if err != nil {
 		return nil, err
 	}
-	for _, w := range r.Suite {
-		c, err := r.Compare(sys, w, opts)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Suite {
+		c := res[i].cmp
 		base := c.Baseline.Final.Total
 		row := []string{w.Name}
 		for _, res := range []*prog.Result{
@@ -782,14 +732,12 @@ func (r *Runner) Fig10b(sys *hw.System, opts scaler.Options) (*Table, error) {
 			"in-kernel", "pfp", "prescaler", "tested fraction",
 		},
 	}
-	if err := r.prefetch(r.compareTasks(sys, opts)); err != nil {
+	res, err := r.measure(r.suiteTasks(true, opts, sys))
+	if err != nil {
 		return nil, err
 	}
-	for _, w := range r.Suite {
-		c, err := r.Compare(sys, w, opts)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Suite {
+		c := res[i].cmp
 		ps := c.PreScaler
 		frac := float64(ps.Trials) / ps.SearchSpace
 		t.Rows = append(t.Rows, []string{
@@ -808,51 +756,26 @@ func (r *Runner) Fig10b(sys *hw.System, opts scaler.Options) (*Table, error) {
 // PreScaler type and conversion distributions at PCIe x16 vs x8.
 func (r *Runner) Fig11(opts scaler.Options) (*Table, error) {
 	t := &Table{
-		ID:    "fig11",
-		Title: "System adaptivity with different PCIe bandwidths",
-		Header: []string{
-			"bus", "pfp speedup", "prescaler speedup",
-			"FP64", "FP32", "FP16", "none", "host", "device", "transient", "pipelined",
-		},
+		ID:     "fig11",
+		Title:  "System adaptivity with different PCIe bandwidths",
+		Header: append([]string{"bus", "pfp speedup", "prescaler speedup"}, distCols...),
 	}
 	systems := []*hw.System{hw.System1(), hw.System1x8()}
-	var tasks []prefetchTask
-	for _, sys := range systems {
-		tasks = append(tasks, r.compareTasks(sys, opts)...)
-	}
-	if err := r.prefetch(tasks); err != nil {
+	res, err := r.measure(r.suiteTasks(true, opts, systems...))
+	if err != nil {
 		return nil, err
 	}
-	for _, sys := range systems {
+	for i, sys := range systems {
 		var pfp, ps []float64
-		types := map[precision.Type]int{}
-		convs := map[string]int{}
-		for _, w := range r.Suite {
-			c, err := r.Compare(sys, w, opts)
-			if err != nil {
-				return nil, err
-			}
+		d := dist{}
+		for j, w := range r.Suite {
+			c := res[i*len(r.Suite)+j].cmp
 			pfp = append(pfp, c.PFP.Speedup)
 			ps = append(ps, c.PreScaler.Speedup)
-			for t2, n := range c.PreScaler.TypeDist() {
-				types[t2] += n
-			}
-			for cl, n := range c.PreScaler.ConvDist(w) {
-				convs[cl] += n
-			}
+			d.add(c.PreScaler.Config, w)
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("x%d", sys.Bus.Lanes),
-			f2(geomean(pfp)), f2(geomean(ps)),
-			fmt.Sprintf("%d", types[precision.Double]),
-			fmt.Sprintf("%d", types[precision.Single]),
-			fmt.Sprintf("%d", types[precision.Half]),
-			fmt.Sprintf("%d", convs["none"]),
-			fmt.Sprintf("%d", convs["host"]),
-			fmt.Sprintf("%d", convs["device"]),
-			fmt.Sprintf("%d", convs["transient"]),
-			fmt.Sprintf("%d", convs["pipelined"]),
-		})
+		row := []string{fmt.Sprintf("x%d", sys.Bus.Lanes), f2(geomean(pfp)), f2(geomean(ps))}
+		t.Rows = append(t.Rows, append(row, d.cells()...))
 	}
 	return t, nil
 }
@@ -862,58 +785,33 @@ func (r *Runner) Fig11(opts scaler.Options) (*Table, error) {
 func (r *Runner) Fig12() (*Table, error) {
 	sys := hw.System1()
 	t := &Table{
-		ID:    "fig12",
-		Title: "Application adaptivity: input sets and TOQ on " + sys.Name,
-		Header: []string{
-			"configuration", "prescaler speedup", "FP64", "FP32", "FP16",
-		},
+		ID:     "fig12",
+		Title:  "Application adaptivity: input sets and TOQ on " + sys.Name,
+		Header: append([]string{"configuration", "prescaler speedup"}, distCols[:3]...),
 	}
-	fig12Opts := []scaler.Options{}
+	var labels []string
+	var tasks []task
 	for _, set := range prog.InputSets {
-		fig12Opts = append(fig12Opts, scaler.Options{TOQ: 0.90, InputSet: set})
+		labels = append(labels, "set="+set.String())
+		tasks = append(tasks, r.suiteTasks(false, scaler.Options{TOQ: 0.90, InputSet: set}, sys)...)
 	}
 	for _, toq := range []float64{0.95, 0.99} {
-		fig12Opts = append(fig12Opts, scaler.Options{TOQ: toq, InputSet: prog.InputDefault})
+		labels = append(labels, fmt.Sprintf("toq=%.2f", toq))
+		tasks = append(tasks, r.suiteTasks(false, scaler.Options{TOQ: toq, InputSet: prog.InputDefault}, sys)...)
 	}
-	var tasks []prefetchTask
-	for _, opts := range fig12Opts {
-		for _, w := range r.Suite {
-			tasks = append(tasks, prefetchTask{sys: sys, w: w, opts: opts})
-		}
-	}
-	if err := r.prefetch(tasks); err != nil {
+	res, err := r.measure(tasks)
+	if err != nil {
 		return nil, err
 	}
-	addRow := func(label string, opts scaler.Options) error {
+	for i, label := range labels {
 		var ps []float64
-		types := map[precision.Type]int{}
-		for _, w := range r.Suite {
-			res, err := r.scale(sys, w, opts)
-			if err != nil {
-				return err
-			}
-			ps = append(ps, res.Speedup)
-			for t2, n := range res.TypeDist() {
-				types[t2] += n
-			}
+		d := dist{}
+		for j, w := range r.Suite {
+			s := res[i*len(r.Suite)+j].ps
+			ps = append(ps, s.Speedup)
+			d.add(s.Config, w)
 		}
-		t.Rows = append(t.Rows, []string{
-			label, f2(geomean(ps)),
-			fmt.Sprintf("%d", types[precision.Double]),
-			fmt.Sprintf("%d", types[precision.Single]),
-			fmt.Sprintf("%d", types[precision.Half]),
-		})
-		return nil
-	}
-	for _, set := range prog.InputSets {
-		if err := addRow("set="+set.String(), scaler.Options{TOQ: 0.90, InputSet: set}); err != nil {
-			return nil, err
-		}
-	}
-	for _, toq := range []float64{0.95, 0.99} {
-		if err := addRow(fmt.Sprintf("toq=%.2f", toq), scaler.Options{TOQ: toq, InputSet: prog.InputDefault}); err != nil {
-			return nil, err
-		}
+		t.Rows = append(t.Rows, append([]string{label, f2(geomean(ps))}, d.cells()[:3]...))
 	}
 	return t, nil
 }
@@ -922,14 +820,9 @@ func (r *Runner) Fig12() (*Table, error) {
 // tables in presentation order.
 func (r *Runner) All() ([]*Table, error) {
 	opts := scaler.DefaultOptions()
-	// Prefetch the comparisons every figure draws from in one pool, so a
+	// Measure the comparisons every figure draws from in one pool, so a
 	// parallel run keeps all workers busy across figure boundaries.
-	var tasks []prefetchTask
-	for _, sys := range hw.Systems() {
-		tasks = append(tasks, r.compareTasks(sys, opts)...)
-	}
-	tasks = append(tasks, r.compareTasks(hw.System1x8(), opts)...)
-	if err := r.prefetch(tasks); err != nil {
+	if _, err := r.measure(r.suiteTasks(true, opts, append(hw.Systems(), hw.System1x8())...)); err != nil {
 		return nil, err
 	}
 	var out []*Table

@@ -140,14 +140,14 @@ func TestFig9AndCachingAcrossFigures(t *testing.T) {
 	if fig9.Rows[2][0] != "geomean" {
 		t.Error("missing geomean row")
 	}
-	cached := len(r.cmps)
+	cached := len(r.done)
 	if _, err := r.Fig10a(sys, opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Fig10b(sys, opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.cmps) != cached {
+	if len(r.done) != cached {
 		t.Error("fig10 must reuse fig9 comparisons")
 	}
 }

@@ -56,18 +56,18 @@ func TestRunnerTaskRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestPrefetchAggregatesErrors is the regression test for the bug where
-// prefetch reported only the lowest-indexed task error: with every task
-// failing, the joined error must name each failed workload.
-func TestPrefetchAggregatesErrors(t *testing.T) {
+// TestMeasureAggregatesErrors is the regression test for the bug where
+// the worker pool reported only the lowest-indexed task error: with
+// every task failing, the joined error must name each failed workload.
+func TestMeasureAggregatesErrors(t *testing.T) {
 	r := smallRunner()
 	r.Jobs = 4
 	r.Faults = &fault.Spec{Script: []fault.ScriptRule{
 		{Kind: fault.Write, From: 0, To: 1}, // first write fails at every salt
 	}}
-	err := r.prefetch(r.compareTasks(hw.System1(), scaler.DefaultOptions()))
+	_, err := r.measure(r.suiteTasks(true, scaler.DefaultOptions(), hw.System1()))
 	if err == nil {
-		t.Fatal("all tasks fail; prefetch must report it")
+		t.Fatal("all tasks fail; measure must report it")
 	}
 	for _, w := range r.Suite {
 		if !strings.Contains(err.Error(), w.Name) {

@@ -25,34 +25,35 @@ func (r *Runner) NoiseSweep(base *hw.System, amplitudes []float64) (*Table, erro
 		},
 	}
 	opts := scaler.DefaultOptions()
+	systems := make([]*hw.System, len(amplitudes))
 	for i, amp := range amplitudes {
 		sys := *base
 		sys.TimingJitter = amp
 		sys.JitterSeed = int64(1000 + i)
-		// A jittered system gets its own framework (the cache keys on
-		// jitter), inspected afresh for each amplitude.
-		fw := r.Framework(&sys)
+		systems[i] = &sys
+	}
+	// A jittered system gets its own framework and task keys (both key
+	// on the jitter), inspected afresh for each amplitude.
+	res, err := r.measure(r.suiteTasks(false, opts, systems...))
+	if err != nil {
+		return nil, err
+	}
+	n := len(r.Suite)
+	for i, amp := range amplitudes {
 		var speeds []float64
 		minQ := 1.0
 		passing := 0
-		for _, w := range r.Suite {
-			r.logf("noise %.0f%%: %s ...", amp*100, w.Name)
-			sp, err := fw.Scale(r.ctx(), w, opts)
-			if err != nil {
-				return nil, err
-			}
-			speeds = append(speeds, sp.Speedup())
-			if q := sp.Quality(); q < minQ {
-				minQ = q
-			}
-			if sp.Quality() >= opts.TOQ {
+		for _, x := range res[i*n : (i+1)*n] {
+			speeds = append(speeds, x.ps.Speedup)
+			minQ = min(minQ, x.ps.Quality)
+			if x.ps.Quality >= opts.TOQ {
 				passing++
 			}
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f%%", amp*100),
 			f2(geomean(speeds)), f4(minQ),
-			fmt.Sprintf("%d/%d", passing, len(r.Suite)),
+			fmt.Sprintf("%d/%d", passing, n),
 		})
 	}
 	return t, nil

@@ -2,16 +2,20 @@ package exper
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/scaler"
 )
 
 // artifactSet captures every byte-level artifact of one experiment run.
 type artifactSet struct {
-	fig9, fig9dist, fig10a, fig10b, fig12, ablation []byte
-	bench                                           []byte
+	fig9, fig9dist, fig10a, fig10b, fig11, fig12, ablation, noise []byte
+	bench                                                         []byte
 }
 
 // runArtifacts renders the figures at the given worker count, without
@@ -41,8 +45,10 @@ func runArtifacts(t *testing.T, jobs int, plain bool) artifactSet {
 	out.fig9dist = tableCSV(r.Fig9Dist(sys, opts))
 	out.fig10a = tableCSV(r.Fig10a(sys, opts))
 	out.fig10b = tableCSV(r.Fig10b(sys, opts))
+	out.fig11 = tableCSV(r.Fig11(opts))
 	out.fig12 = tableCSV(r.Fig12())
 	out.ablation = tableCSV(r.Ablation(sys))
+	out.noise = tableCSV(r.NoiseSweep(sys, []float64{0, 0.05, 0.15}))
 
 	rep, err := r.BenchFig9(sys, opts)
 	if err != nil {
@@ -56,48 +62,132 @@ func runArtifacts(t *testing.T, jobs int, plain bool) artifactSet {
 	return out
 }
 
+// named lists an artifact set's artifacts with their names.
+func (a artifactSet) named() []struct {
+	name string
+	data []byte
+} {
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"fig9 CSV", a.fig9}, {"fig9dist CSV", a.fig9dist}, {"fig10a CSV", a.fig10a},
+		{"fig10b CSV", a.fig10b}, {"fig11 CSV", a.fig11}, {"fig12 CSV", a.fig12},
+		{"ablation CSV", a.ablation}, {"noise CSV", a.noise}, {"bench fig9 JSON", a.bench},
+	}
+}
+
 // TestParallelRunnerByteIdentical is the determinism acceptance check
 // for the experiment worker pool: every CSV and JSON artifact produced
-// at Jobs=8 must be byte-identical to the sequential Jobs=1 run.
+// at Jobs=8 must be byte-identical to the one-worker Jobs=1 run.
 func TestParallelRunnerByteIdentical(t *testing.T) {
-	seq := runArtifacts(t, 1, true)
-	par := runArtifacts(t, 8, true)
-	for _, c := range []struct {
-		name     string
-		seq, par []byte
-	}{
-		{"fig9 CSV", seq.fig9, par.fig9},
-		{"fig9dist CSV", seq.fig9dist, par.fig9dist},
-		{"fig10a CSV", seq.fig10a, par.fig10a},
-		{"fig10b CSV", seq.fig10b, par.fig10b},
-		{"fig12 CSV", seq.fig12, par.fig12},
-		{"ablation CSV", seq.ablation, par.ablation},
-		{"bench fig9 JSON", seq.bench, par.bench},
-	} {
-		if !bytes.Equal(c.seq, c.par) {
+	seq := runArtifacts(t, 1, true).named()
+	par := runArtifacts(t, 8, true).named()
+	for i, c := range seq {
+		if !bytes.Equal(c.data, par[i].data) {
 			t.Errorf("%s differs between Jobs=1 and Jobs=8:\n--- Jobs=1 ---\n%s\n--- Jobs=8 ---\n%s",
-				c.name, c.seq, c.par)
+				c.name, c.data, par[i].data)
 		}
 	}
 }
 
-// TestPrefetchErrorOrder checks that when several parallel tasks fail,
-// prefetch reports the error of the lowest-indexed task — the one a
-// sequential run would hit first.
-func TestPrefetchErrorOrder(t *testing.T) {
-	r := smallRunner()
-	r.Jobs = 4
-	sys := hw.System1()
-	// An impossible TOQ makes nothing fail (searches still complete), so
-	// instead exercise the merge path with a healthy run and verify the
-	// cache is filled for every task in order.
-	tasks := r.compareTasks(sys, scaler.DefaultOptions())
-	if err := r.prefetch(tasks); err != nil {
+// TestMeasureErrorOrder checks that measure returns results in task
+// order, runs every task at any worker count even after one fails, and
+// joins the failures in task order: the first one reported is the one a
+// sequential run hits first.
+func TestMeasureErrorOrder(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		r := smallRunner()
+		r.Jobs = jobs
+		res, err := r.measure(r.suiteTasks(true, scaler.DefaultOptions(), hw.System1()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range r.Suite {
+			if res[i].cmp.Workload != w.Name {
+				t.Errorf("Jobs=%d: result %d is %s's, want %s's", jobs, i, res[i].cmp.Workload, w.Name)
+			}
+		}
+
+		r = smallRunner()
+		r.Jobs = jobs
+		r.Faults = &fault.Spec{Script: []fault.ScriptRule{
+			{Kind: fault.Write, From: 0, To: 1}, // first write fails at every salt
+		}}
+		_, err = r.measure(r.suiteTasks(true, scaler.DefaultOptions(), hw.System1()))
+		if err == nil {
+			t.Fatalf("Jobs=%d: all tasks fail; measure must report it", jobs)
+		}
+		lines := strings.Split(err.Error(), "\n")
+		if len(lines) != len(r.Suite) {
+			t.Fatalf("Jobs=%d: %d errors, want one per task:\n%v", jobs, len(lines), err)
+		}
+		for i, w := range r.Suite {
+			if !strings.HasPrefix(lines[i], w.Name+" on system1: ") {
+				t.Errorf("Jobs=%d: error %d is %q, want %s's", jobs, i, lines[i], w.Name)
+			}
+		}
+	}
+}
+
+// startLog is a progress log that cancels the run when the first task
+// starts, and counts the tasks that start.
+type startLog struct {
+	cancel  context.CancelFunc
+	started int
+}
+
+func (l *startLog) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("prescaler ")) || bytes.HasPrefix(p, []byte("comparing ")) {
+		l.started++
+		l.cancel()
+	}
+	return len(p), nil
+}
+
+// TestMeasureCancel: a cancel mid-run yields one error matching
+// context.Canceled, however many tasks it stops, and no task starts
+// after it: only the tasks the workers already hold may start.
+func TestMeasureCancel(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		log := &startLog{cancel: cancel}
+		r := smallRunner()
+		r.Ctx, r.Jobs, r.Log = ctx, jobs, log
+		_, err := r.Fig12() // 15 tasks
+		cancel()
+		if !errors.Is(err, context.Canceled) || err.Error() != context.Canceled.Error() {
+			t.Errorf("Jobs=%d: err = %v, want one context.Canceled", jobs, err)
+		}
+		if log.started < 1 || log.started > jobs || r.TasksRun() != 0 {
+			t.Errorf("Jobs=%d: %d tasks started, %d finished; want 1 to %d started, none finished",
+				jobs, log.started, r.TasksRun(), jobs)
+		}
+	}
+}
+
+// TestCompareKeysExactTOQ: TOQs that print alike at two decimals are
+// different measurements, so a Compare at TOQ 0.904 after one at 0.90
+// runs its own task instead of reading the 0.90 result from the cache
+// or the checkpoint.
+func TestCompareKeysExactTOQ(t *testing.T) {
+	dir := t.TempDir()
+	r := ckRunner(t, dir)
+	sys, w := hw.System1(), r.Suite[1]
+	for i, toq := range []float64{0.90, 0.904} {
+		if _, err := r.Compare(sys, w, scaler.Options{TOQ: toq}); err != nil {
+			t.Fatal(err)
+		}
+		if r.TasksRun() != i+1 {
+			t.Errorf("after TOQ %v: %d tasks run, want %d", toq, r.TasksRun(), i+1)
+		}
+	}
+	r2 := ckRunner(t, dir)
+	if _, err := r2.Compare(sys, w, scaler.Options{TOQ: 0.901}); err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range tasks {
-		if _, ok := r.cmps[taskKey(task.sys, task.w, task.opts)]; !ok {
-			t.Errorf("prefetch left %s uncached", task.w.Name)
-		}
+	if r2.TasksRun() != 1 || r2.TasksRestored() != 0 {
+		t.Errorf("TOQ 0.901 over a 0.90/0.904 checkpoint: run=%d restored=%d, want 1/0",
+			r2.TasksRun(), r2.TasksRestored())
 	}
 }

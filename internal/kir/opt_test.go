@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/precision"
@@ -593,24 +597,47 @@ func (g *kgen) carried(depth int) []Stmt {
 	return []Stmt{LetI(x, init), Loop(k, I(0), P("n"), body...)}
 }
 
-// checkShapeKernel runs shapeKernel(seed) through Compile and
-// CompileUnoptimized on the batch engine against the Reference walker
-// at each strip size, for n = 0 (every loop bounded by n skips) and
-// n = bufLen, with in bufLen and bufLen*bufLen elements long and
-// per-buffer storage and compute precisions from prec (as in
-// FuzzBatchVsReference).
-func checkShapeKernel(t *testing.T, seed int64, prec uint16, strips []int) {
-	const bufLen = 12
-	k, global := shapeKernel(rand.New(rand.NewSource(seed)), bufLen)
-	if err := Verify(k); err != nil {
-		t.Fatalf("seed %d: generated kernel fails verification: %v\n%s", seed, err, k)
-	}
-	storage, ca := make([]precision.Type, 2), make([]precision.Type, 2)
+// shapeBufLen is the bufLen checkShapeKernel generates kernels with.
+const shapeBufLen = 12
+
+// shapeLaunches are the launches checkShapeKernel runs each kernel
+// with: n = 0 (every loop bounded by n skips) and n = shapeBufLen, each
+// with in shapeBufLen and shapeBufLen*shapeBufLen elements long.
+var shapeLaunches = []struct {
+	n     int64
+	inLen int
+}{{0, shapeBufLen}, {0, shapeBufLen * shapeBufLen}, {shapeBufLen, shapeBufLen}, {shapeBufLen, shapeBufLen * shapeBufLen}}
+
+// shapePrecisions decodes prec into the storage and compute precisions
+// of in and out (as in FuzzBatchVsReference): four bits per buffer, the
+// low two picking the storage and the high two the compute precision
+// (0 computes at the storage precision).
+func shapePrecisions(prec uint16) (storage, ca []precision.Type) {
+	storage, ca = make([]precision.Type, 2), make([]precision.Type, 2)
 	for i := range storage {
 		b := prec >> (4 * i)
 		storage[i] = precision.All[int(b&3)%3]
 		ca[i] = precision.Type(b >> 2 & 3)
 	}
+	return storage, ca
+}
+
+// shapeEnv returns the environment of one of shapeLaunches for the
+// kernel of seed.
+func shapeEnv(seed int64, storage, ca []precision.Type, n int64, inLen int, global [2]int) func() *ExecEnv {
+	return mkEnv(uint64(seed), storage, []int{inLen, 80 * shapeBufLen}, ca, []int64{n}, global)
+}
+
+// checkShapeKernel runs shapeKernel(seed) through Compile and
+// CompileUnoptimized on the batch engine against the Reference walker
+// at each strip size, for each of shapeLaunches and the storage and
+// compute precisions from prec.
+func checkShapeKernel(t *testing.T, seed int64, prec uint16, strips []int) {
+	k, global := shapeKernel(rand.New(rand.NewSource(seed)), shapeBufLen)
+	if err := Verify(k); err != nil {
+		t.Fatalf("seed %d: generated kernel fails verification: %v\n%s", seed, err, k)
+	}
+	storage, ca := shapePrecisions(prec)
 	var run string // the launch running when a check fails
 	defer func() {
 		if t.Failed() {
@@ -622,17 +649,15 @@ func checkShapeKernel(t *testing.T, seed int64, prec uint16, strips []int) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, n := range []int64{0, bufLen} {
-			for _, inLen := range []int{bufLen, bufLen * bufLen} {
-				mk := mkEnv(uint64(seed), storage, []int{inLen, 80 * bufLen}, ca, []int64{n}, global)
-				for _, strip := range strips {
-					run = fmt.Sprintf("n %d, in %d long, strip %d", n, inLen, strip)
-					runBothEngines(t, p, func() *ExecEnv {
-						env := mk()
-						env.Strip = strip
-						return env
-					})
-				}
+		for _, l := range shapeLaunches {
+			mk := shapeEnv(seed, storage, ca, l.n, l.inLen, global)
+			for _, strip := range strips {
+				run = fmt.Sprintf("n %d, in %d long, strip %d", l.n, l.inLen, strip)
+				runBothEngines(t, p, func() *ExecEnv {
+					env := mk()
+					env.Strip = strip
+					return env
+				})
 			}
 		}
 	}
@@ -652,6 +677,122 @@ func FuzzRandomKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, prec uint16, strip uint16) {
 		checkShapeKernel(t, seed, prec, []int{int(strip) % 1025})
 	})
+}
+
+// TestRandomKernelCorpus regenerates the kernel of every
+// FuzzRandomKernel corpus entry and checks what each part of the
+// entry's name states, so a change to shapeKernel's draws cannot
+// silently re-target an entry:
+//
+//   - "2d": a 2-D NDRange;
+//   - "stripN", "default-strip": the strip argument (0 for the default);
+//   - "oob": one of shapeLaunches faults on the walker;
+//   - "copy": a gid0 row load, which Program.Shapes tags "copy";
+//   - "bcast": a load that broadcasts one element, a scalar-index load
+//     (tagged "a") or a gid1 row load (tagged "broadcast");
+//   - "fallback": a row copy and a faulting launch, which the per-lane
+//     fallback of a row copy needs (not that the fault is the copy's);
+//   - "rows": both a row copy and a row broadcast;
+//   - "half-compute", "double-compute": a buffer computed at that
+//     precision, "single-storage": a buffer stored single, and "mixed":
+//     in and out stored at different precisions.
+//
+// "affine" (the draw the row loads come from) and "runs" (split runs)
+// are not checked; any other name part fails the test, so a new entry's
+// name states only checked properties.
+func TestRandomKernelCorpus(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzRandomKernel", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus entries: %v", err)
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seed int64
+			var prec, strip uint16
+			if _, err := fmt.Sscanf(string(data), "go test fuzz v1\nint64(%d)\nuint16(%d)\nuint16(%d)", &seed, &prec, &strip); err != nil {
+				t.Fatalf("corpus entry: %v", err)
+			}
+			k, global := shapeKernel(rand.New(rand.NewSource(seed)), shapeBufLen)
+			p, err := Compile(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			storage, ca := shapePrecisions(prec)
+			loads := map[string]bool{} // the tags of each load
+			for _, line := range p.Shapes() {
+				if f := strings.Fields(line); len(f) > 1 && f[1] == "load" {
+					if i := strings.Index(line, "  ["); i >= 0 {
+						loads[strings.TrimSuffix(line[i+3:], "]")] = true
+					}
+				}
+			}
+			tagged := func(tag string) bool {
+				for tags := range loads {
+					if slices.Contains(strings.Fields(tags), tag) {
+						return true
+					}
+				}
+				return false
+			}
+			faults := false
+			for _, l := range shapeLaunches {
+				_, err := p.Reference().Run(shapeEnv(seed, storage, ca, l.n, l.inLen, global)())
+				faults = faults || err != nil
+			}
+			parts := strings.Split(name, "-")
+			for i := 0; i < len(parts); i++ {
+				part := parts[i]
+				if i+1 < len(parts) {
+					switch two := part + "-" + parts[i+1]; two {
+					case "default-strip", "half-compute", "double-compute", "single-storage":
+						part = two
+						i++
+					}
+				}
+				var ok bool
+				switch {
+				case part == "2d":
+					ok = k.Dims == 2
+				case part == "default-strip":
+					ok = strip == 0
+				case strings.HasPrefix(part, "strip"):
+					ok = part == fmt.Sprintf("strip%d", strip)
+				case part == "oob":
+					ok = faults
+				case part == "copy":
+					ok = tagged("copy")
+				case part == "bcast":
+					ok = loads["a"] || tagged("broadcast")
+				case part == "fallback":
+					ok = tagged("copy") && faults
+				case part == "rows":
+					ok = tagged("copy") && tagged("broadcast")
+				case part == "half-compute":
+					ok = slices.Contains(ca, precision.Half)
+				case part == "double-compute":
+					ok = slices.Contains(ca, precision.Double)
+				case part == "single-storage":
+					ok = slices.Contains(storage, precision.Single)
+				case part == "mixed":
+					ok = storage[0] != storage[1]
+				case part == "affine", part == "runs":
+					ok = true
+				default:
+					t.Errorf("name part %q states no checked property", part)
+					continue
+				}
+				if !ok {
+					t.Errorf("kernel is not %q: NDRange %v, storage %v, compute %v, faults %t, load tags %v\n%s",
+						part, global, storage, ca, faults, loads, strings.Join(p.Shapes(), "\n"))
+				}
+			}
+		})
+	}
 }
 
 // TestDifferentialFuzzOptimizer checks that the optimized and

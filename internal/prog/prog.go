@@ -191,6 +191,36 @@ func (c *Config) Clone() *Config {
 	return out
 }
 
+// TypeDist returns how many memory objects the configuration puts at
+// each precision.
+func (c Config) TypeDist() map[precision.Type]int {
+	out := map[precision.Type]int{}
+	for _, oc := range c.Objects {
+		out[oc.Target]++
+	}
+	return out
+}
+
+// ConvDist returns how many of w's transfer events the configuration
+// converts with each conversion class (none / host / device / transient
+// / pipelined).
+func (c Config) ConvDist(w *Workload) map[string]int {
+	out := map[string]int{}
+	for name, oc := range c.Objects {
+		if w.Object(name) == nil {
+			continue
+		}
+		storage := oc.Target
+		if oc.InKernel {
+			storage = w.Original
+		}
+		for _, p := range oc.Plans {
+			out[p.Class(w.Original, storage)]++
+		}
+	}
+	return out
+}
+
 // Target returns the configured precision for obj, defaulting to orig.
 func (c *Config) Target(obj string, orig precision.Type) precision.Type {
 	if oc, ok := c.Objects[obj]; ok && oc.Target.Valid() {

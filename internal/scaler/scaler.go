@@ -360,35 +360,6 @@ type Result struct {
 	Warm *WarmReport
 }
 
-// TypeDist returns how many memory objects ended at each precision.
-func (r *Result) TypeDist() map[precision.Type]int {
-	out := map[precision.Type]int{}
-	for _, oc := range r.Config.Objects {
-		out[oc.Target]++
-	}
-	return out
-}
-
-// ConvDist returns how many transfer events use each conversion class
-// (none / host / device / transient / pipelined).
-func (r *Result) ConvDist(w *prog.Workload) map[string]int {
-	out := map[string]int{}
-	for name, oc := range r.Config.Objects {
-		spec := w.Object(name)
-		if spec == nil {
-			continue
-		}
-		storage := oc.Target
-		if oc.InKernel {
-			storage = w.Original
-		}
-		for _, p := range oc.Plans {
-			out[p.Class(w.Original, storage)]++
-		}
-	}
-	return out
-}
-
 // availableTypes returns the precisions the device supports, in
 // descending precision order starting from the original.
 func (s *Scaler) availableTypes() []precision.Type {

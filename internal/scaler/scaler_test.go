@@ -73,7 +73,7 @@ func TestSearchPrefersLowPrecisionWhenSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := res.TypeDist()
+	dist := res.Config.TypeDist()
 	if dist[precision.Double] == len(w.Objects) {
 		t.Error("no object was scaled at all on a friendly workload")
 	}
@@ -228,7 +228,7 @@ func TestTypeAndConvDists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := res.TypeDist()
+	dist := res.Config.TypeDist()
 	total := 0
 	for _, n := range dist {
 		total += n
@@ -236,7 +236,7 @@ func TestTypeAndConvDists(t *testing.T) {
 	if total != len(w.Objects) {
 		t.Errorf("type dist covers %d objects, want %d", total, len(w.Objects))
 	}
-	conv := res.ConvDist(w)
+	conv := res.Config.ConvDist(w)
 	events := 0
 	for _, n := range conv {
 		events += n

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/polybench"
 	"repro/internal/prog"
+	"repro/internal/scaler"
 	"repro/internal/wltest"
 )
 
@@ -75,5 +77,29 @@ func TestNoiseSweep(t *testing.T) {
 		if row[3] != "1/1" {
 			t.Errorf("jitter %s: passing = %s", row[0], row[3])
 		}
+	}
+}
+
+// TestNoiseZeroRowReusesFig9: a system without jitter never reads its
+// jitter seed, so the noise sweep's 0% row, whose system carries a seed,
+// is the measurement fig9 already made on the base system. It must run
+// no new task and inspect the system only once.
+func TestNoiseZeroRowReusesFig9(t *testing.T) {
+	r := NewRunner(polybench.SmallSuite())
+	var log strings.Builder
+	r.Log = &log
+	sys := hw.System1()
+	if _, err := r.Fig9(sys, scaler.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	ran := r.TasksRun()
+	if _, err := r.NoiseSweep(sys, []float64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.TasksRun() - ran; n != 0 {
+		t.Errorf("the 0%% noise row ran %d new tasks, want 0", n)
+	}
+	if n := strings.Count(log.String(), "inspecting "+sys.Name); n != 1 {
+		t.Errorf("%s inspected %d times, want 1", sys.Name, n)
 	}
 }

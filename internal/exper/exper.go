@@ -198,9 +198,15 @@ func (r *Runner) EvalStats() prog.EvalStats {
 }
 
 // fwKey keys the framework cache; jittered variants of a system get
-// their own entry.
+// their own entry. The jitter seed is keyed only when the system jitters:
+// a system without jitter never reads it (see ocl.NewQueue), so its
+// measurements are those of the same system under any seed.
 func fwKey(sys *hw.System) string {
-	return fmt.Sprintf("%s/%g/%d", sys.Name, sys.TimingJitter, sys.JitterSeed)
+	seed := sys.JitterSeed
+	if sys.TimingJitter == 0 {
+		seed = 0
+	}
+	return fmt.Sprintf("%s/%g/%d", sys.Name, sys.TimingJitter, seed)
 }
 
 // Framework returns the (cached) framework for a system. When the

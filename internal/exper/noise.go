@@ -33,7 +33,8 @@ func (r *Runner) NoiseSweep(base *hw.System, amplitudes []float64) (*Table, erro
 		systems[i] = &sys
 	}
 	// A jittered system gets its own framework and task keys (both key
-	// on the jitter), inspected afresh for each amplitude.
+	// on the jitter and its seed), inspected afresh for each amplitude.
+	// The 0% row keys as the base system, so fig9's results serve it.
 	res, err := r.measure(r.suiteTasks(false, opts, systems...))
 	if err != nil {
 		return nil, err

@@ -18,19 +18,54 @@ type Label struct {
 // L builds a label.
 func L(key, val string) Label { return Label{Key: key, Val: val} }
 
-// labelString canonicalizes labels: sorted by key, "k=v" joined with
-// commas. Deterministic, so it doubles as the registry map key suffix.
-func labelString(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// metricID identifies one instrument: its name and at most two labels,
+// put in key order. It is comparable, so a registry lookup hashes it in
+// place and allocates nothing.
+type metricID struct {
+	name   string
+	n      int // labels in use
+	l1, l2 Label
+}
+
+// newMetricID builds the identity of name+labels. Every instrument takes
+// at most two labels; a third is a programming error and panics.
+func newMetricID(name string, labels []Label) metricID {
+	id := metricID{name: name, n: len(labels)}
+	switch len(labels) {
+	case 0:
+	case 1:
+		id.l1 = labels[0]
+	case 2:
+		id.l1, id.l2 = labels[0], labels[1]
+		if id.l2.Key < id.l1.Key {
+			id.l1, id.l2 = id.l2, id.l1
+		}
+	default:
+		panic("obs: metric " + name + " takes at most two labels")
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	parts := make([]string, len(ls))
-	for i, l := range ls {
+	return id
+}
+
+// labels returns the identity's labels in key order.
+func (id metricID) labels() []Label {
+	return []Label{id.l1, id.l2}[:id.n]
+}
+
+// series is one instrument of a registry map with the canonical text of
+// its labels, "k=v" joined by commas in key order, built once at
+// creation for the exposition formats.
+type series[T any] struct {
+	inst *T
+	text string
+}
+
+// newSeries returns a fresh instrument with the label text of id.
+func newSeries[T any](id metricID) series[T] {
+	parts := make([]string, id.n)
+	for i, l := range id.labels() {
 		parts[i] = l.Key + "=" + l.Val
 	}
-	return strings.Join(parts, ",")
+	return series[T]{inst: new(T), text: strings.Join(parts, ",")}
 }
 
 // Counter is a monotonically increasing metric. Safe for concurrent use.
@@ -254,41 +289,33 @@ var DefaultLatencyBuckets = []float64{
 
 // Registry holds named, labeled metrics. A nil *Registry hands out nil
 // instruments, whose methods are all no-ops. Instrument lookup and the
-// instruments themselves are safe for concurrent use.
+// instruments themselves are safe for concurrent use; looking up an
+// existing instrument allocates nothing.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	hbounds  map[string][]float64 // histogram bucket grids by key
-	labels   map[string][]Label   // canonical sorted label sets by key
+	counters map[metricID]series[Counter]
+	gauges   map[metricID]series[Gauge]
+	hists    map[metricID]series[Histogram]
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		hbounds:  map[string][]float64{},
-		labels:   map[string][]Label{},
+		counters: map[metricID]series[Counter]{},
+		gauges:   map[metricID]series[Gauge]{},
+		hists:    map[metricID]series[Histogram]{},
 	}
 }
 
-// recordLabels remembers the canonical (sorted, copied) label set for a
-// metric key, so exposition formats can render label pairs without
-// re-parsing the key string. Caller holds r.mu.
-func (r *Registry) recordLabels(key string, labels []Label) {
-	if _, ok := r.labels[key]; ok {
-		return
+// lookup returns the instrument for id in m, creating it on first use.
+// Caller holds r.mu.
+func lookup[T any](m map[metricID]series[T], id metricID) (inst *T, created bool) {
+	if s, ok := m[id]; ok {
+		return s.inst, false
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	r.labels[key] = ls
-}
-
-func metricKey(name string, labels []Label) string {
-	return name + "|" + labelString(labels)
+	s := newSeries[T](id)
+	m[id] = s
+	return s.inst, true
 }
 
 // Counter returns (creating on first use) the counter for name+labels.
@@ -296,15 +323,10 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := metricKey(name, labels)
+	id := newMetricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[key]
-	if !ok {
-		c = &Counter{}
-		r.counters[key] = c
-		r.recordLabels(key, labels)
-	}
+	c, _ := lookup(r.counters, id)
 	return c
 }
 
@@ -313,15 +335,10 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := metricKey(name, labels)
+	id := newMetricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[key] = g
-		r.recordLabels(key, labels)
-	}
+	g, _ := lookup(r.gauges, id)
 	return g
 }
 
@@ -332,27 +349,19 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	key := metricKey(name, labels)
+	id := newMetricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[key]
-	if !ok {
+	h, created := lookup(r.hists, id)
+	if created {
 		if len(bounds) == 0 {
 			bounds = DefaultErrorBuckets
 		}
 		b := append([]float64(nil), bounds...)
 		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]int, len(b)+1)}
-		r.hists[key] = h
-		r.hbounds[key] = b
-		r.recordLabels(key, labels)
+		h.bounds, h.counts = b, make([]int, len(b)+1)
 	}
 	return h
-}
-
-func splitKey(key string) (name, labels string) {
-	i := strings.IndexByte(key, '|')
-	return key[:i], key[i+1:]
 }
 
 // WriteCSV dumps every metric as CSV with the header
@@ -370,30 +379,30 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var rows [][]string
-	add := func(key, kind, field string, value float64) {
-		name, labels := splitKey(key)
-		rows = append(rows, []string{name, labels, kind, field, fmt.Sprintf("%g", value)})
+	add := func(id metricID, labels, kind, field string, value float64) {
+		rows = append(rows, []string{id.name, labels, kind, field, fmt.Sprintf("%g", value)})
 	}
-	for key, c := range r.counters {
-		add(key, "counter", "count", c.Value())
+	for id, s := range r.counters {
+		add(id, s.text, "counter", "count", s.inst.Value())
 	}
-	for key, g := range r.gauges {
-		add(key, "gauge", "value", g.Value())
+	for id, s := range r.gauges {
+		add(id, s.text, "gauge", "value", s.inst.Value())
 	}
-	for key, h := range r.hists {
+	for id, s := range r.hists {
+		h := s.inst
 		h.mu.Lock()
-		add(key, "histogram", "count", float64(h.n))
-		add(key, "histogram", "sum", h.sum)
+		add(id, s.text, "histogram", "count", float64(h.n))
+		add(id, s.text, "histogram", "sum", h.sum)
 		mean := 0.0
 		if h.n > 0 {
 			mean = h.sum / float64(h.n)
 		}
-		add(key, "histogram", "mean", mean)
-		add(key, "histogram", "max", h.max)
+		add(id, s.text, "histogram", "mean", mean)
+		add(id, s.text, "histogram", "max", h.max)
 		for i, b := range h.bounds {
-			add(key, "histogram", fmt.Sprintf("bucket_le_%g", b), float64(h.counts[i]))
+			add(id, s.text, "histogram", fmt.Sprintf("bucket_le_%g", b), float64(h.counts[i]))
 		}
-		add(key, "histogram", "bucket_le_inf", float64(h.counts[len(h.bounds)]))
+		add(id, s.text, "histogram", "bucket_le_inf", float64(h.counts[len(h.bounds)]))
 		h.mu.Unlock()
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -227,4 +230,116 @@ func TestJournalRender(t *testing.T) {
 	if len(j.Objects) != 1 {
 		t.Fatalf("objects = %d, want 1", len(j.Objects))
 	}
+}
+
+// -update rewrites the exposition goldens under testdata from the
+// current registry.
+var update = flag.Bool("update", false, "rewrite the exposition goldens")
+
+// expositionScript feeds a registry a fixed sequence: every instrument
+// kind with zero, one and two labels, two-label lookups in both orders,
+// and label values that need quoting or escaping.
+func expositionScript(r *Registry) {
+	r.Counter("requests", L("endpoint", "scale")).Add(3)
+	r.Counter("requests", L("endpoint", "healthz")).Inc()
+	r.Counter("plain").Inc()
+	r.Counter("faults", L("op", "write"), L("kind", "transient")).Add(2)
+	r.Counter("faults", L("kind", "transient"), L("op", "write")).Inc()
+	r.Counter("faults", L("kind", "lost"), L("op", "launch")).Inc()
+	r.Counter("odd", L("msg", "a\"b\\c\nd,e=f")).Inc()
+	r.Gauge("busy").Set(2)
+	r.Gauge("space", L("eq", "tree")).Set(1.5)
+	r.Gauge("peer_up", L("peer", "127.0.0.1:9"), L("node", "a")).Set(1)
+	r.Gauge("peer_up", L("node", "a"), L("peer", "127.0.0.1:9")).Set(0)
+	r.Gauge("peer_up", L("node", "b"), L("peer", "127.0.0.1:9")).Set(1)
+	h := r.Histogram("latency_seconds", []float64{0.01, 0.1, 1})
+	for _, v := range []float64{0.005, 0.02, 0.02, 0.5, 3} {
+		h.Observe(v)
+	}
+	r.Histogram("stage_seconds", []float64{1, 0.1}, L("stage", "queue"), L("bench", "ATAX")).Observe(0.05)
+	r.Histogram("stage_seconds", nil, L("bench", "ATAX"), L("stage", "queue")).Observe(2)
+	r.Histogram("stage_seconds", nil, L("bench", "GEMM"), L("stage", "queue")).Observe(0.5)
+	r.Histogram("errors", nil, L("bench", "GEMM")).Observe(0.03)
+}
+
+// TestExpositionGolden pins the Prometheus and CSV renderings of a fixed
+// registry byte for byte.
+func TestExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	expositionScript(r)
+	var prom, csvOut bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{{"exposition.prom", prom.Bytes()}, {"exposition.csv", csvOut.Bytes()}} {
+		path := filepath.Join("testdata", g.file)
+		if *update {
+			if err := os.WriteFile(path, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden %s (run with -update): %v", path, err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s drifted from golden:\ngot:\n%s\nwant:\n%s", g.file, g.got, want)
+		}
+	}
+}
+
+// TestRegistryLookupAllocs checks that looking up an existing instrument
+// allocates nothing, with zero, one or two labels in either order, and
+// that both orders of two labels name one instrument.
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	c0 := r.Counter("plain")
+	c1 := r.Counter("requests", L("endpoint", "scale"))
+	c2 := r.Counter("faults", L("op", "write"), L("kind", "transient"))
+	g2 := r.Gauge("peer_up", L("peer", "a"), L("node", "b"))
+	h2 := r.Histogram("stage_seconds", nil, L("stage", "queue"), L("bench", "ATAX"))
+	if r.Counter("faults", L("kind", "transient"), L("op", "write")) != c2 ||
+		r.Gauge("peer_up", L("node", "b"), L("peer", "a")) != g2 ||
+		r.Histogram("stage_seconds", nil, L("bench", "ATAX"), L("stage", "queue")) != h2 {
+		t.Fatal("label order changed instrument identity")
+	}
+	endpoint := strings.Repeat("s", 1) + "cale" // not a constant
+	for _, c := range []struct {
+		name string
+		want any
+		get  func() any
+	}{
+		{"counter/0", c0, func() any { return r.Counter("plain") }},
+		{"counter/1", c1, func() any { return r.Counter("requests", L("endpoint", endpoint)) }},
+		{"counter/2", c2, func() any { return r.Counter("faults", L("op", "write"), L("kind", "transient")) }},
+		{"counter/2-swapped", c2, func() any { return r.Counter("faults", L("kind", "transient"), L("op", "write")) }},
+		{"gauge/2", g2, func() any { return r.Gauge("peer_up", L("node", "b"), L("peer", "a")) }},
+		{"histogram/2", h2, func() any { return r.Histogram("stage_seconds", nil, L("stage", "queue"), L("bench", "ATAX")) }},
+	} {
+		if got := c.get(); got != c.want {
+			t.Errorf("%s: lookup returned another instrument", c.name)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.get() }); n != 0 {
+			t.Errorf("%s: lookup allocates %v times, want 0", c.name, n)
+		}
+	}
+}
+
+// TestRegistryRejectsThirdLabel checks that a third label panics with a
+// message that names the metric.
+func TestRegistryRejectsThirdLabel(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "search_trials") {
+			t.Fatalf("panic = %q, want one naming the metric", msg)
+		}
+	}()
+	NewRegistry().Counter("search_trials", L("a", "1"), L("b", "2"), L("c", "3"))
 }

@@ -73,25 +73,24 @@ func (r *Registry) families() []promFamily {
 	}
 	r.mu.Lock()
 	byName := map[string]*promFamily{}
-	add := func(key, kind string, value func() float64, h *Histogram) {
-		name, labelKey := splitKey(key)
-		fam, ok := byName[name]
+	add := func(id metricID, text, kind string, value func() float64, h *Histogram) {
+		fam, ok := byName[id.name]
 		if !ok {
-			fam = &promFamily{name: name, kind: kind}
-			byName[name] = fam
+			fam = &promFamily{name: id.name, kind: kind}
+			byName[id.name] = fam
 		}
 		fam.series = append(fam.series, promSeries{
-			labelKey: labelKey, labels: r.labels[key], value: value, hist: h,
+			labelKey: text, labels: id.labels(), value: value, hist: h,
 		})
 	}
-	for key, c := range r.counters {
-		add(key, "counter", c.Value, nil)
+	for id, s := range r.counters {
+		add(id, s.text, "counter", s.inst.Value, nil)
 	}
-	for key, g := range r.gauges {
-		add(key, "gauge", g.Value, nil)
+	for id, s := range r.gauges {
+		add(id, s.text, "gauge", s.inst.Value, nil)
 	}
-	for key, h := range r.hists {
-		add(key, "histogram", nil, h)
+	for id, s := range r.hists {
+		add(id, s.text, "histogram", nil, s.inst)
 	}
 	r.mu.Unlock()
 

@@ -40,6 +40,16 @@ import (
 // Timing jitter resamples durations per event position, which replay
 // cannot reproduce; RunWithCache therefore bypasses the cache entirely
 // on jittered systems.
+//
+// The cache also memoizes trial scores. Every Read entry's host snapshot
+// is registered under an id when the entry is inserted; the cache keeps
+// the snapshot, so its storage identifies its contents for as long as
+// the cache lives, and every replay hands out views of that storage. A
+// score is a pure function of the reference and trial outputs, so
+// Quality keys it by the outputs' snapshot ids and computes it once per
+// cache. Outputs that are not registered snapshots (a run that bypassed
+// the cache, an entry dropped over the budget, an empty output, a view
+// written after Read) are scored afresh every time.
 
 // EvalStats reports incremental-evaluation counters. Every cache probe
 // is either a hit (the op's execution was skipped and its results
@@ -81,6 +91,10 @@ type EvalCache struct {
 	ops      map[string]*opEntry
 	bytes    int64
 	maxBytes int64
+	// snaps registers the host snapshot of every cached Read by its
+	// storage; scores memoizes Quality by the snapshot ids it reads.
+	snaps  map[*float64]snapshot
+	scores map[string]float64
 
 	version atomic.Uint64
 	hits    atomic.Int64
@@ -92,6 +106,13 @@ type zeroKey struct {
 	n    int
 }
 
+// snapshot is one registered Read snapshot: its id and its length (two
+// views of one storage may differ in length).
+type snapshot struct {
+	id uint64
+	n  int
+}
+
 // NewEvalCache returns an empty cache ready to be shared across the
 // trials of one search.
 func NewEvalCache() *EvalCache {
@@ -100,6 +121,8 @@ func NewEvalCache() *EvalCache {
 		zeros:    map[zeroKey]uint64{},
 		ops:      map[string]*opEntry{},
 		maxBytes: defaultCacheBytes,
+		snaps:    map[*float64]snapshot{},
+		scores:   map[string]float64{},
 	}
 }
 
@@ -190,9 +213,10 @@ func (c *EvalCache) lookup(key string) (*opEntry, bool) {
 }
 
 // insert stores an entry first-wins (concurrent workers may race to
-// record the same op; the entries are interchangeable by construction).
-// Entries beyond the memory budget are dropped silently: the op simply
-// stays a miss.
+// record the same op; the entries are interchangeable by construction)
+// and registers a Read entry's host snapshot for the score memo. Entries
+// beyond the memory budget are dropped silently: the op simply stays a
+// miss, and its snapshot is not registered.
 func (c *EvalCache) insert(key string, e *opEntry) {
 	sz := e.approxBytes()
 	c.mu.Lock()
@@ -205,6 +229,55 @@ func (c *EvalCache) insert(key string, e *opEntry) {
 	}
 	c.bytes += sz
 	c.ops[key] = e
+	if p := storage(e.host); p != nil {
+		if _, ok := c.snaps[p]; !ok {
+			c.snaps[p] = snapshot{id: uint64(len(c.snaps)) + 1, n: e.host.Len()}
+		}
+	}
+}
+
+// storage returns the first element of a's storage, the identity of a
+// registered snapshot; nil for a nil or empty array.
+func storage(a *precision.Array) *float64 {
+	if a == nil || a.Len() == 0 {
+		return nil
+	}
+	return &a.Values()[0]
+}
+
+// Quality returns QualityNamed(names, ref, res), computed once per cache
+// for each combination of snapshots. When every named output of ref and
+// res is a view of a snapshot this cache registered, the score is memoized
+// under the snapshot ids in name order; otherwise it is computed afresh.
+// A nil cache always computes.
+func (c *EvalCache) Quality(names []string, ref, res *Result) float64 {
+	if c == nil {
+		return QualityNamed(names, ref, res)
+	}
+	var buf [64]byte
+	key := buf[:0]
+	c.mu.Lock()
+	for _, name := range names {
+		for _, r := range [2]*Result{ref, res} {
+			a := r.Outputs[name]
+			sn, ok := c.snaps[storage(a)]
+			if !ok || sn.n != a.Len() {
+				c.mu.Unlock()
+				return QualityNamed(names, ref, res)
+			}
+			key = binary.AppendUvarint(key, sn.id)
+		}
+	}
+	q, ok := c.scores[string(key)]
+	c.mu.Unlock()
+	if ok {
+		return q
+	}
+	q = QualityNamed(names, ref, res)
+	c.mu.Lock()
+	c.scores[string(key)] = q
+	c.mu.Unlock()
+	return q
 }
 
 // Event buffer references inside a cached entry are symbolic, because

@@ -634,6 +634,10 @@ func SortedOutputNames(ref *Result) []string {
 	return names
 }
 
+// scoreHook, set only by tests, sees every QualityNamed call: each one
+// computes the element errors of every named output.
+var scoreHook func(names []string, ref, res *Result)
+
 // QualityNamed is Quality with the sorted reference output names supplied
 // by the caller. It streams the error sum in a single pass per output
 // array, allocating nothing; the accumulation order (sorted names, then
@@ -646,6 +650,9 @@ func SortedOutputNames(ref *Result) []string {
 // through precision.ElementError, so the returned quality is always a
 // finite value in [0, 1] and NaN/Inf-poisoned outputs simply fail TOQ.
 func QualityNamed(names []string, ref, res *Result) float64 {
+	if scoreHook != nil {
+		scoreHook(names, ref, res)
+	}
 	var sum float64
 	var n int
 	for _, name := range names {

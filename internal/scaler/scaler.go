@@ -580,12 +580,14 @@ func (s *Scaler) retryFaults(label string, fn func() error) error {
 
 // quality evaluates res against the reference, reusing the sorted output
 // name list across the search's trials (runTrial is sequential, so the
-// lazy initialization is unsynchronized by design).
+// lazy initialization is unsynchronized by design). The EvalCache
+// memoizes the score, so a warm search scores only outputs its cache has
+// not scored against this reference.
 func (s *Scaler) quality(res *prog.Result) float64 {
 	if s.refNames == nil {
 		s.refNames = prog.SortedOutputNames(s.ref)
 	}
-	return prog.QualityNamed(s.refNames, s.ref, res)
+	return s.opts.EvalCache.Quality(s.refNames, s.ref, res)
 }
 
 // summarizeConfig renders a compact object:type summary for span

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // The decision table holds one record per decision id. A record
@@ -23,7 +25,8 @@ import (
 //   - in flight: done is open. ctx runs the search, and refs counts the
 //     scale requests waiting on it.
 //   - stored: el places it in the LRU, body holds the decision and
-//     trace the wall trace of a local search. done is closed, or closes
+//     trace the closed wall tracer of a local search, rendered only when
+//     GET /v1/decisions/{id}/trace asks for it. done is closed, or closes
 //     when a search that a warm push or session create overtook ends.
 //
 // A failed search removes its record at once: its subscribers still
@@ -47,7 +50,7 @@ type decision struct {
 
 	el    *list.Element
 	body  []byte
-	trace []byte
+	trace *obs.Tracer
 }
 
 // errFlightAbandoned is the outcome waiting requests see if the
@@ -103,7 +106,7 @@ func (s *Server) join(id string, rctx context.Context) (rec *decision, leave fun
 // holds for the id. On failure the record leaves the table. Then the
 // log ends with done or error. The first outcome wins: the leader's
 // abandon guard calls finish again.
-func (s *Server) finish(rec *decision, body, trace []byte, err error) {
+func (s *Server) finish(rec *decision, body []byte, trace *obs.Tracer, err error) {
 	s.dmu.Lock()
 	select {
 	case <-rec.done:
@@ -158,7 +161,7 @@ func (s *Server) store(id string, body []byte) {
 // creating one when there is none. It returns the log the caller must
 // end with done {"cached":true} — the record's, when it was not stored
 // yet and has no search — or nil. Caller holds dmu.
-func (s *Server) storeIDLocked(id string, body, trace []byte) *eventLog {
+func (s *Server) storeIDLocked(id string, body []byte, trace *obs.Tracer) *eventLog {
 	rec := s.decisions[id]
 	if rec == nil {
 		rec = s.addLocked(id)
@@ -182,7 +185,7 @@ func (s *Server) addLocked(id string) *decision {
 // evicts beyond capacity; eviction removes the record. It reports false
 // when the record was already stored (a warm push got there first),
 // refreshing its position. Caller holds dmu.
-func (s *Server) storeLocked(rec *decision, body, trace []byte) bool {
+func (s *Server) storeLocked(rec *decision, body []byte, trace *obs.Tracer) bool {
 	if rec.el != nil {
 		s.lru.MoveToFront(rec.el)
 		return false
@@ -213,8 +216,8 @@ func (s *Server) cached(id string) ([]byte, bool) {
 	return rec.body, true
 }
 
-// traceFor returns the wall trace recorded for a stored decision.
-func (s *Server) traceFor(id string) ([]byte, bool) {
+// traceFor returns the closed wall tracer of a stored decision.
+func (s *Server) traceFor(id string) (*obs.Tracer, bool) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
 	rec := s.decisions[id]

@@ -253,12 +253,13 @@ func TestStoreDuringSearch(t *testing.T) {
 	if _, ok := srv.cached(id); ok {
 		t.Fatal("id still cached after its eviction")
 	}
-	srv.finish(rec, body, []byte(`{"trace":1}`), nil)
+	trace := obs.NewWallTracer()
+	srv.finish(rec, body, trace, nil)
 	if got, ok := srv.cached(id); !ok || !bytes.Equal(got, body) {
 		t.Errorf("evicted record's search did not store its body again: %q, %v", got, ok)
 	}
-	if tr, ok := srv.traceFor(id); !ok || string(tr) != `{"trace":1}` {
-		t.Errorf("trace after re-store: %q, %v", tr, ok)
+	if tr, ok := srv.traceFor(id); !ok || tr != trace {
+		t.Errorf("trace after re-store: %p, %v, want %p", tr, ok, trace)
 	}
 	if ev := lastLogEvent(rec.log); ev.name != "done" || !bytes.Contains(ev.data, []byte(`"cached":false`)) {
 		t.Errorf("search's log ended with %s %s, want done cached:false", ev.name, ev.data)

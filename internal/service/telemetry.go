@@ -88,19 +88,16 @@ func (rt *reqTelemetry) onProgress(ev scaler.ProgressEvent) {
 	}
 }
 
-// closeTrace ends the open spans and renders the wall trace for the
-// decision cache. Returns nil for a nil receiver.
-func (rt *reqTelemetry) closeTrace() []byte {
+// closeTrace ends the open spans and returns the wall tracer for the
+// decision record, which renders it only when the trace is asked for.
+// Returns nil for a nil receiver.
+func (rt *reqTelemetry) closeTrace() *obs.Tracer {
 	if rt == nil {
 		return nil
 	}
 	rt.wt.End(rt.search)
 	rt.wt.End(rt.req)
-	var buf bytes.Buffer
-	if err := rt.wt.WriteChromeTrace(&buf); err != nil {
-		return nil
-	}
-	return buf.Bytes()
+	return rt.wt
 }
 
 // handleMetrics is GET /metrics: the shared obs registry in Prometheus
@@ -120,14 +117,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.obs.Metrics().Counter("service_requests", obs.L("endpoint", "trace")).Inc()
 	id := r.PathValue("id")
-	trace, ok := s.traceFor(id)
-	if !ok {
+	tr, ok := s.traceFor(id)
+	var trace bytes.Buffer
+	if !ok || tr.WriteChromeTrace(&trace) != nil {
 		s.writeError(w, &notFoundError{what: "trace", name: id})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Decision-Id", id)
-	w.Write(trace)
+	w.Write(trace.Bytes())
 }
 
 // handleEvents is GET /v1/decisions/{id}/events: live decision progress

@@ -262,7 +262,7 @@ func TestSSEEventsMissAndHit(t *testing.T) {
 // the search: the request/queue-wait/search lifecycle spans plus one
 // span per trial.
 func TestDecisionTrace(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	resp, _ := postScale(t, ts, `{"benchmark":"veccombine"}`)
 	id := resp.Header.Get("X-Decision-Id")
 
@@ -274,6 +274,23 @@ func TestDecisionTrace(t *testing.T) {
 	if tr.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d", tr.StatusCode)
 	}
+	served, err := io.ReadAll(tr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record keeps the closed tracer and renders it per request: the
+	// served bytes are what an eager rendering of it gives.
+	closed, ok := srv.traceFor(id)
+	if !ok {
+		t.Fatal("no tracer stored for the decision")
+	}
+	var eager bytes.Buffer
+	if err := closed.WriteChromeTrace(&eager); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, eager.Bytes()) {
+		t.Errorf("served trace differs from an eager rendering:\n%s\n%s", served, eager.Bytes())
+	}
 	var doc struct {
 		TraceEvents []struct {
 			Name  string  `json:"name"`
@@ -283,7 +300,7 @@ func TestDecisionTrace(t *testing.T) {
 			Dur   float64 `json:"dur"`
 		} `json:"traceEvents"`
 	}
-	if err := json.NewDecoder(tr.Body).Decode(&doc); err != nil {
+	if err := json.Unmarshal(served, &doc); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}

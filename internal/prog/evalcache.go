@@ -50,12 +50,21 @@ import (
 // cache. Outputs that are not registered snapshots (a run that bypassed
 // the cache, an entry dropped over the budget, an empty output, a view
 // written after Read) are scored afresh every time.
+//
+// Whole runs are memoized too. A run is keyed by its input set and its
+// configuration's canonical key (ConfigKeyer); a hit skips every op and
+// returns the recorded Result, after replaying the run's runtime
+// callbacks through the caller's hooks in their recorded order, so
+// metrics, traces and recorders see what a live run shows. Only runs
+// whose every output is a registered snapshot are stored, so the memo
+// pins nothing the byte budget has not counted.
 
 // EvalStats reports incremental-evaluation counters. Every cache probe
 // is either a hit (the op's execution was skipped and its results
-// spliced) or a miss (the op ran live and was recorded), so OpsSkipped
-// always equals Hits; it is kept as a separate field because it is the
-// headline number for the bench reports.
+// spliced) or a miss (the op ran live and was recorded); a replayed run
+// counts one hit per op it recorded, as splicing each op would. So
+// OpsSkipped always equals Hits; it is kept as a separate field because
+// it is the headline number for the bench reports.
 type EvalStats struct {
 	Hits       int64 `json:"hits"`
 	Misses     int64 `json:"misses"`
@@ -95,6 +104,9 @@ type EvalCache struct {
 	// storage; scores memoizes Quality by the snapshot ids it reads.
 	snaps  map[*float64]snapshot
 	scores map[string]float64
+	// runs memoizes whole runs by input set and configuration key.
+	keys *ConfigKeyer
+	runs map[string]*runEntry
 
 	version atomic.Uint64
 	hits    atomic.Int64
@@ -123,6 +135,7 @@ func NewEvalCache() *EvalCache {
 		maxBytes: defaultCacheBytes,
 		snaps:    map[*float64]snapshot{},
 		scores:   map[string]float64{},
+		runs:     map[string]*runEntry{},
 	}
 }
 
@@ -158,6 +171,7 @@ func (c *EvalCache) bind(sys *hw.System, w *Workload) error {
 	defer c.mu.Unlock()
 	if !c.bound {
 		c.bound, c.sysName, c.wName = true, sys.Name, w.Name
+		c.keys = NewConfigKeyer(w)
 		return nil
 	}
 	if c.sysName != sys.Name || c.wName != w.Name {
@@ -234,6 +248,62 @@ func (c *EvalCache) insert(key string, e *opEntry) {
 			c.snaps[p] = snapshot{id: uint64(len(c.snaps)) + 1, n: e.host.Len()}
 		}
 	}
+}
+
+// runKey keys the run of cfg on input set within the bound workload.
+func (c *EvalCache) runKey(set InputSet, cfg *Config) string {
+	return string(c.keys.appendKey([]byte{byte(set)}, cfg))
+}
+
+// Holds reports whether the cache memoizes the run of cfg on input set,
+// so RunWithCache would replay it without running any op. A nil or
+// unbound cache holds nothing.
+func (c *EvalCache) Holds(set InputSet, cfg *Config) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.bound {
+		return false
+	}
+	_, ok := c.runs[c.runKey(set, cfg)]
+	return ok
+}
+
+// lookupRun returns the memoized run under key, or nil, and counts a hit
+// per op it recorded. A miss counts nothing: the run's ops count their
+// own probes.
+func (c *EvalCache) lookupRun(key string) *runEntry {
+	c.mu.Lock()
+	e := c.runs[key]
+	c.mu.Unlock()
+	if e != nil {
+		c.hits.Add(int64(len(e.res.Ops)))
+	}
+	return e
+}
+
+// storeRun memoizes a finished run first-wins, when every output of res
+// is a snapshot the cache registered and the entry's events fit the
+// budget. created and at are the run's buffers in creation order and the
+// number of events recorded before each. The entry keeps its own views
+// and copies, so nothing the caller does to res reaches it.
+func (c *EvalCache) storeRun(key string, res *Result, created []*ocl.Buffer, at []int) {
+	e := &runEntry{res: res.clone(), created: bufSpecs(created), at: at}
+	sz := eventBytes(len(e.res.Events))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.runs[key]; ok || c.bytes+sz > c.maxBytes {
+		return
+	}
+	for _, a := range e.res.Outputs {
+		if sn, ok := c.snaps[storage(a)]; !ok || sn.n != a.Len() {
+			return
+		}
+	}
+	c.bytes += sz
+	c.runs[key] = e
 }
 
 // storage returns the first element of a's storage, the identity of a
@@ -326,8 +396,43 @@ type opEntry struct {
 	host *precision.Array
 }
 
+// runEntry is one memoized run: its result, whose outputs are registered
+// snapshots, and the buffers it created, each with the number of events
+// recorded before it.
+type runEntry struct {
+	res     *Result
+	created []bufSpec
+	at      []int
+}
+
+// replay returns a clone of the memoized run after replaying its runtime
+// callbacks through hooks in their recorded order: each created buffer is
+// made again on a fresh context, so ids and allocation counts match while
+// its array allocates nothing until first touched, and each event is
+// re-recorded on that context's queue.
+func (e *runEntry) replay(sys *hw.System, hooks []ocl.Hook) *Result {
+	ctx := ocl.NewContext(sys)
+	for _, h := range hooks {
+		if h != nil {
+			ctx.AddHook(h)
+		}
+	}
+	q := ocl.NewQueue(ctx)
+	ev := 0
+	for i, bs := range e.created {
+		for ; ev < e.at[i]; ev++ {
+			q.ReplayEvent(e.res.Events[ev])
+		}
+		ctx.MustCreateBuffer(bs.name, bs.elem, bs.n)
+	}
+	for ; ev < len(e.res.Events); ev++ {
+		q.ReplayEvent(e.res.Events[ev])
+	}
+	return e.res.clone()
+}
+
 // approxBytes counts each snapshot's elements at 8 bytes, whether or not
-// its storage is shared with another entry's.
+// its storage is shared with another entry's, plus its events.
 func (e *opEntry) approxBytes() int64 {
 	var n int64
 	for _, o := range e.outs {
@@ -336,8 +441,11 @@ func (e *opEntry) approxBytes() int64 {
 	if e.host != nil {
 		n += int64(e.host.Len()) * 8
 	}
-	return n + int64(len(e.events))*64 + 64
+	return n + eventBytes(len(e.events))
 }
+
+// eventBytes charges an entry's n recorded events to the budget.
+func eventBytes(n int) int64 { return int64(n)*64 + 64 }
 
 // --- key encoding ---
 //
@@ -403,11 +511,16 @@ func readOpKey(obj string, devElem precision.Type, elems int, version uint64, ho
 // --- recording and replay (Exec side) ---
 
 // createdRecorder logs every buffer allocated while the cache is active,
-// so a miss can snapshot the buffers its op created.
+// and the number of events recorded before it, so a miss can snapshot the
+// buffers its op created and a stored run can replay its callbacks in
+// order.
 type createdRecorder struct{ x *Exec }
 
-func (r createdRecorder) BufferCreated(b *ocl.Buffer) { r.x.created = append(r.x.created, b) }
-func (r createdRecorder) EventRecorded(ocl.Event)     {}
+func (r createdRecorder) BufferCreated(b *ocl.Buffer) {
+	r.x.created = append(r.x.created, b)
+	r.x.createdAt = append(r.x.createdAt, r.x.q.NumEvents())
+}
+func (r createdRecorder) EventRecorded(ocl.Event) {}
 
 // mapEvents rewrites the buffer references of a recorded event run into
 // symbolic form. It fails (ok=false) when an event references a buffer

@@ -315,6 +315,66 @@ func TestEvalCacheIsolatedFromWrites(t *testing.T) {
 	}
 }
 
+// callRecorder records every runtime callback of a run in order: a
+// bufCall per created buffer and the ocl.Event of every recorded event.
+type callRecorder struct{ calls []any }
+
+type bufCall struct {
+	id   int
+	name string
+	elem precision.Type
+	n    int
+}
+
+func (r *callRecorder) BufferCreated(b *ocl.Buffer) {
+	r.calls = append(r.calls, bufCall{b.ID(), b.Name(), b.Elem(), b.Len()})
+}
+func (r *callRecorder) EventRecorded(e ocl.Event) { r.calls = append(r.calls, e) }
+
+// TestRunMemoHitIsLiveRun reruns every configuration on one cache, so the
+// rerun replays the memoized run without running an op. The replay must
+// look like a live run: its Result equals a plain Run's, its hooks see the
+// first run's callbacks in the same order, and the stats count one hit
+// per op, as splicing every op would.
+func TestRunMemoHitIsLiveRun(t *testing.T) {
+	sys := hw.System1()
+	if (*EvalCache)(nil).Holds(InputDefault, nil) || NewEvalCache().Holds(InputDefault, nil) {
+		t.Fatal("a nil or unbound cache holds a run")
+	}
+	for _, w := range []*Workload{testWorkload(256), aliasWorkload(256)} {
+		cache := NewEvalCache()
+		for _, cfg := range engineConfigs(w) {
+			var first, again callRecorder
+			if _, err := RunWithCache(sys, w, InputDefault, cfg, cache, &first); err != nil {
+				t.Fatal(err)
+			}
+			if !cache.Holds(InputDefault, cfg) {
+				t.Fatalf("%s: the cache does not hold the run it just recorded", w.Name)
+			}
+			before := cache.Stats()
+			res, err := RunWithCache(sys, w, InputDefault, cfg, cache, &again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Run(sys, w, InputDefault, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, plain) {
+				t.Errorf("%s: replayed result differs from a plain run", w.Name)
+			}
+			if !reflect.DeepEqual(again.calls, first.calls) {
+				t.Errorf("%s: replay made %d callbacks, the first run %d, or in another order",
+					w.Name, len(again.calls), len(first.calls))
+			}
+			after := cache.Stats()
+			if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != int64(len(plain.Ops)) || misses != 0 {
+				t.Errorf("%s: replay counted %d hits and %d misses, want %d and 0", w.Name, hits, misses, len(plain.Ops))
+			}
+		}
+	}
+}
+
 func poison(d []float64) {
 	for i := range d {
 		d[i] = math.NaN()
@@ -362,8 +422,9 @@ func BenchmarkProgRun(b *testing.B) {
 	}
 }
 
-// BenchmarkTrialIncremental measures a fully warmed cached trial — the
-// steady state of a search re-evaluating an unchanged configuration.
+// BenchmarkTrialIncremental reruns a configuration the cache holds, as a
+// warm search does: each iteration replays the memoized run without
+// running or splicing an op.
 func BenchmarkTrialIncremental(b *testing.B) {
 	w := testWorkload(1 << 12)
 	sys := hw.System1()

@@ -221,6 +221,51 @@ func (c Config) ConvDist(w *Workload) map[string]int {
 	return out
 }
 
+// ConfigKeyer builds canonical keys for one workload's configurations:
+// two configurations get one key exactly when they set every object of
+// the workload alike. The sorted object-name list is computed once, and
+// keys use a compact binary encoding (precision and method bytes,
+// little-endian thread counts) instead of formatted text. Key writes no
+// shared state, so concurrent goroutines may call it.
+type ConfigKeyer struct {
+	names []string
+}
+
+// NewConfigKeyer returns the keyer for w's configurations.
+func NewConfigKeyer(w *Workload) *ConfigKeyer {
+	names := make([]string, 0, len(w.Objects))
+	for _, o := range w.Objects {
+		names = append(names, o.Name)
+	}
+	sort.Strings(names)
+	return &ConfigKeyer{names: names}
+}
+
+// Key returns c's canonical key.
+func (k *ConfigKeyer) Key(c *Config) string { return string(k.appendKey(nil, c)) }
+
+func (k *ConfigKeyer) appendKey(b []byte, c *Config) []byte {
+	n := len(b)
+	for _, name := range k.names {
+		n += len(name) + 5 + 4*len(c.Objects[name].Plans)
+	}
+	b = append(make([]byte, 0, n), b...)
+	for _, name := range k.names {
+		oc := c.Objects[name]
+		b = append(b, name...)
+		ik := byte(0)
+		if oc.InKernel {
+			ik = 1
+		}
+		b = append(b, 0, byte(oc.Target), ik, byte(len(oc.Plans)))
+		for _, p := range oc.Plans {
+			b = append(b, byte(p.Host), byte(p.Mid), byte(p.Threads), byte(p.Threads>>8))
+		}
+		b = append(b, ';')
+	}
+	return b
+}
+
 // Target returns the configured precision for obj, defaulting to orig.
 func (c *Config) Target(obj string, orig precision.Type) precision.Type {
 	if oc, ok := c.Objects[obj]; ok && oc.Target.Valid() {
@@ -303,6 +348,19 @@ type Result struct {
 // TransferTime returns HtoD + DtoH time.
 func (r *Result) TransferTime() float64 { return r.HtoDTime + r.DtoHTime }
 
+// clone returns a copy of r that shares nothing a caller may write: fresh
+// views of the outputs and copies of the op and event traces.
+func (r *Result) clone() *Result {
+	c := *r
+	c.Outputs = make(map[string]*precision.Array, len(r.Outputs))
+	for name, a := range r.Outputs {
+		c.Outputs[name] = a.Share()
+	}
+	c.Ops = append([]Op(nil), r.Ops...)
+	c.Events = append([]ocl.Event(nil), r.Events...)
+	return &c
+}
+
 // Exec is the executor handle passed to a workload's Script.
 type Exec struct {
 	w       *Workload
@@ -315,10 +373,13 @@ type Exec struct {
 	outputs map[string]*precision.Array
 	evIdx   map[string]int
 	ops     []Op
-	// incremental evaluation state (nil cache = plain execution)
-	cache   *EvalCache
-	set     InputSet
-	created []*ocl.Buffer
+	// incremental evaluation state (nil cache = plain execution):
+	// every buffer the run creates, and the number of events recorded
+	// before each
+	cache     *EvalCache
+	set       InputSet
+	created   []*ocl.Buffer
+	createdAt []int
 }
 
 // Run executes w on sys with input set and scaling configuration cfg
@@ -331,14 +392,16 @@ func Run(sys *hw.System, w *Workload, set InputSet, cfg *Config, hooks ...ocl.Ho
 }
 
 // RunWithCache is Run with an optional shared incremental-evaluation
-// cache (see EvalCache): program ops whose inputs match a previously
-// recorded execution are spliced from the cache instead of re-executing,
-// with bit-identical outputs, events, and timing. A nil cache means
-// plain execution. Systems with timing jitter bypass the cache entirely:
-// jittered durations depend on event position and cannot be replayed.
-// Systems with fault injection bypass it too: splicing cached results
-// would skip the runtime operations that drive the fault decision
-// stream (and could cache a poisoned output), breaking seed-determinism.
+// cache (see EvalCache): a configuration the cache has run before on the
+// same input set is replayed whole, and program ops whose inputs match a
+// previously recorded execution are spliced from the cache instead of
+// re-executing, with bit-identical outputs, events, timing and hook
+// callbacks either way. A nil cache means plain execution. Systems with
+// timing jitter bypass the cache entirely: jittered durations depend on
+// event position and cannot be replayed. Systems with fault injection
+// bypass it too: splicing cached results would skip the runtime
+// operations that drive the fault decision stream (and could cache a
+// poisoned output), breaking seed-determinism.
 func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache *EvalCache, hooks ...ocl.Hook) (*Result, error) {
 	if cache != nil && (sys.TimingJitter > 0 || sys.Faults != nil) {
 		cache = nil
@@ -350,6 +413,13 @@ func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache 
 	}
 	if cfg == nil {
 		cfg = Baseline(w)
+	}
+	var runKey string
+	if cache != nil {
+		runKey = cache.runKey(set, cfg)
+		if e := cache.lookupRun(runKey); e != nil {
+			return e.replay(sys, hooks), nil
+		}
 	}
 	x := &Exec{
 		w:       w,
@@ -385,6 +455,9 @@ func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache 
 	}
 	htod, kernel, dtoh := x.q.Breakdown()
 	res.HtoDTime, res.KernelTime, res.DtoHTime = htod, kernel, dtoh
+	if cache != nil {
+		cache.storeRun(runKey, res, x.created, x.createdAt)
+	}
 	return res, nil
 }
 

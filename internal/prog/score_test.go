@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/polybench"
 	"repro/internal/prog"
 	"repro/internal/scaler"
@@ -153,6 +154,52 @@ func TestWarmSearchScoresOnlyNewOutputs(t *testing.T) {
 			}
 			if n := cache.Entries(); n != 0 {
 				t.Errorf("cache holds %d entries, want none", n)
+			}
+		})
+	}
+}
+
+// TestWarmSearchObservesLikeCold runs a TOQ 0.95 search over a cache a
+// TOQ 0.90 search warmed, whose trials replay the runs that search
+// memoized, and the same search over a fresh cache, each with a fresh
+// observer. The registry in both exposition formats, the virtual-clock
+// trace and the explain report must be byte-identical.
+func TestWarmSearchObservesLikeCold(t *testing.T) {
+	sys := hw.System1()
+	fw := core.NewFramework(sys)
+	for _, w := range []*prog.Workload{polybench.TwoMM(32), polybench.Atax(256, 256)} {
+		t.Run(w.Name, func(t *testing.T) {
+			observe := func(cache *prog.EvalCache) []string {
+				o := obs.New()
+				opts := scaler.DefaultOptions()
+				opts.TOQ, opts.Workers, opts.EvalCache, opts.Obs = 0.95, 2, cache, o
+				if _, err := scaler.New(sys, fw.DB(), w, opts).Search(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				var prom, csv, trace bytes.Buffer
+				if err := o.Metrics().WritePrometheus(&prom); err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Metrics().WriteCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Tracer().WriteChromeTrace(&trace); err != nil {
+					t.Fatal(err)
+				}
+				return []string{prom.String(), csv.String(), trace.String(), o.Explain()}
+			}
+			warm := prog.NewEvalCache()
+			search(t, fw, sys, w, 0.90, prog.InputDefault, warm, &scoring{})
+			before := warm.Stats()
+			got := observe(warm)
+			if st := warm.Stats(); st.Misses != before.Misses || st.Hits == before.Hits {
+				t.Errorf("warm search ran ops live: stats %+v, then %+v", before, st)
+			}
+			want := observe(prog.NewEvalCache())
+			for i, what := range []string{"Prometheus metrics", "CSV metrics", "trace", "explain report"} {
+				if got[i] != want[i] {
+					t.Errorf("warm search's %s differs from a fresh-cache search's:\n%s\nvs\n%s", what, got[i], want[i])
+				}
 			}
 		})
 	}

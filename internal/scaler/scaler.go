@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -233,7 +232,7 @@ type Scaler struct {
 	refNames []string
 
 	trials int
-	keys   *configKeyer
+	keys   *prog.ConfigKeyer
 	memo   map[string]*trialRecord
 	spec   map[string]*specTrial
 	warm   *WarmReport
@@ -244,18 +243,20 @@ func New(sys *hw.System, db *inspect.DB, w *prog.Workload, opts Options) *Scaler
 	if opts.TOQ == 0 {
 		opts.TOQ = 0.90
 	}
-	return &Scaler{sys: sys, db: db, w: w, opts: opts, keys: newConfigKeyer(w),
+	return &Scaler{sys: sys, db: db, w: w, opts: opts, keys: prog.NewConfigKeyer(w),
 		memo: map[string]*trialRecord{}, spec: map[string]*specTrial{}}
 }
 
 // speculate executes the not-yet-memoized configurations among cfgs
 // concurrently, caching each run for the sequential decision loop to
-// consume via runTrial. Each worker iteration runs on its own cloned
-// system so no hardware-model state is shared; the observer sees nothing
-// here — side effects are replayed at merge time. Runs the sequential
-// schedule would never reach are simply discarded, and speculative
-// errors are dropped: the failing configuration re-executes lazily (and
-// fails identically) only if the sequential path actually asks for it.
+// consume via runTrial. Configurations whose whole run the EvalCache
+// holds are skipped: the sequential path replays them without running
+// an op. Each worker iteration runs on its own cloned system so no
+// hardware-model state is shared; the observer sees nothing here — side
+// effects are replayed at merge time. Runs the sequential schedule would
+// never reach are simply discarded, and speculative errors are dropped:
+// the failing configuration re-executes lazily (and fails identically)
+// only if the sequential path actually asks for it.
 func (s *Scaler) speculate(cfgs []*prog.Config) {
 	if s.opts.Workers <= 1 {
 		return
@@ -269,7 +270,7 @@ func (s *Scaler) speculate(cfgs []*prog.Config) {
 	var keys []string
 	seen := map[string]bool{}
 	for _, cfg := range cfgs {
-		key := s.keys.key(cfg)
+		key := s.keys.Key(cfg)
 		if seen[key] {
 			continue
 		}
@@ -277,6 +278,9 @@ func (s *Scaler) speculate(cfgs []*prog.Config) {
 			continue
 		}
 		if _, ok := s.spec[key]; ok {
+			continue
+		}
+		if s.opts.EvalCache.Holds(s.opts.InputSet, cfg) {
 			continue
 		}
 		seen[key] = true
@@ -375,52 +379,6 @@ func (s *Scaler) availableTypes() []precision.Type {
 	return out
 }
 
-// configKeyer builds canonical memoization keys for one workload's
-// configurations. The sorted object-name list is computed once per
-// search, and keys use a compact binary encoding (precision/method
-// bytes, little-endian thread counts) instead of formatted text. key
-// writes no shared state, so concurrent scoring loops may call it.
-type configKeyer struct {
-	names []string
-}
-
-func newConfigKeyer(w *prog.Workload) *configKeyer {
-	names := make([]string, 0, len(w.Objects))
-	for _, o := range w.Objects {
-		names = append(names, o.Name)
-	}
-	sort.Strings(names)
-	return &configKeyer{names: names}
-}
-
-func (k *configKeyer) key(c *prog.Config) string {
-	n := 0
-	for _, name := range k.names {
-		n += len(name) + 5 + 4*len(c.Objects[name].Plans)
-	}
-	b := make([]byte, 0, n)
-	for _, name := range k.names {
-		oc := c.Objects[name]
-		b = append(b, name...)
-		ik := byte(0)
-		if oc.InKernel {
-			ik = 1
-		}
-		b = append(b, 0, byte(oc.Target), ik, byte(len(oc.Plans)))
-		for _, p := range oc.Plans {
-			b = append(b, byte(p.Host), byte(p.Mid), byte(p.Threads), byte(p.Threads>>8))
-		}
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
-// configKey builds a canonical memoization key for a configuration: the
-// one-shot form of configKeyer, kept for tests and external callers.
-func configKey(w *prog.Workload, c *prog.Config) string {
-	return newConfigKeyer(w).key(c)
-}
-
 // checkCtx reports whether the search's context has been canceled,
 // wrapping the cause so callers can match it with errors.Is
 // (context.Canceled / context.DeadlineExceeded). It is the single
@@ -450,7 +408,7 @@ func (s *Scaler) runTrial(cfg *prog.Config, label string) (*trialRecord, bool, e
 	}
 	o := s.opts.Obs
 	tr := o.Tracer()
-	key := s.keys.key(cfg)
+	key := s.keys.Key(cfg)
 	if rec, ok := s.memo[key]; ok {
 		o.Metrics().Counter("trials_memoized").Inc()
 		// Span attributes (the config summary string in particular) are
@@ -716,7 +674,7 @@ func (s *Scaler) Search(ctx context.Context) (*Result, error) {
 	s.info, s.ref = info, ref
 	s.trials = 1
 	o.Metrics().Counter("trials_executed").Inc()
-	s.memo[s.keys.key(prog.Baseline(s.w))] = &trialRecord{res: ref, quality: 1}
+	s.memo[s.keys.Key(prog.Baseline(s.w))] = &trialRecord{res: ref, quality: 1}
 	s.progress(ProgressEvent{
 		Kind: "profile", Trial: 1, Quality: 1, SimMs: ref.Total * 1e3, Verdict: "pass",
 	})
@@ -1019,7 +977,7 @@ func (s *Scaler) searchObject(current *prog.Config, obj *profile.ObjectInfo, typ
 		failed         precision.Type
 	)
 	// The incumbent (object unchanged) is always a valid fallback.
-	if rec, ok := s.memo[s.keys.key(current)]; ok {
+	if rec, ok := s.memo[s.keys.Key(current)]; ok {
 		normalBest, normalBestTime = current, rec.res.Total
 		kernelTime[current.Objects[obj.Name].Target] = rec.res.KernelTime
 	}
@@ -1136,7 +1094,7 @@ func (s *Scaler) searchObject(current *prog.Config, obj *profile.ObjectInfo, typ
 		// prediction for the wildcard plans.
 		normalCfg := current.Clone()
 		normalCfg.Objects[obj.Name] = prog.ObjectConfig{Target: target, Plans: s.bestDirectPlans(obj, target)}
-		normalRec, ok := s.memo[s.keys.key(normalCfg)]
+		normalRec, ok := s.memo[s.keys.Key(normalCfg)]
 		if !ok {
 			continue
 		}

@@ -14,6 +14,11 @@ import (
 
 var dbCache = map[string]*inspect.DB{}
 
+// configKey is the canonical key of c among w's configurations.
+func configKey(w *prog.Workload, c *prog.Config) string {
+	return prog.NewConfigKeyer(w).Key(c)
+}
+
 func dbFor(sys *hw.System) *inspect.DB {
 	if db, ok := dbCache[sys.Name]; ok {
 		return db

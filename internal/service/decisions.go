@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/scaler"
 )
 
 // The decision table holds one record per decision id. A record
@@ -273,11 +274,24 @@ func (s *Server) relayed(id, owner string, status int) {
 	rec.log.publish(errorEvent(fmt.Errorf("replica %s answered %d", owner, status)))
 }
 
-// sseEvent is one rendered server-sent event: the SSE event name plus
-// its JSON data payload, serialized once at publish time.
+// sseEvent is one server-sent event: the SSE event name plus its JSON
+// data payload. A search's progress event keeps its value and is encoded
+// only when a subscriber reads it, since almost no decision is streamed;
+// every other event is encoded once at publish time.
 type sseEvent struct {
-	name string // SSE `event:` field — "start", "trial", "done", ...
-	data []byte // SSE `data:` field — one JSON object, no newlines
+	name     string                // SSE `event:` field — "start", "trial", "done", ...
+	data     []byte                // SSE `data:` field — one JSON object, no newlines
+	progress *scaler.ProgressEvent // when set, encoded into the data field on read
+}
+
+// payload returns the event's data field, and false for a progress
+// event that does not encode, which is not sent.
+func (e sseEvent) payload() ([]byte, bool) {
+	if e.progress == nil {
+		return e.data, true
+	}
+	data, err := json.Marshal(e.progress)
+	return data, err == nil
 }
 
 // terminal reports whether this event ends the log.
@@ -361,7 +375,9 @@ func serveEvents(w http.ResponseWriter, r *http.Request, log *eventLog) {
 	for cursor := 0; ; {
 		events, next, closed, changed := log.read(cursor)
 		for _, ev := range events {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
+			if data, ok := ev.payload(); ok {
+				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, data)
+			}
 		}
 		cursor = next
 		rc.Flush()

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/api"
@@ -63,10 +62,10 @@ func (rt *reqTelemetry) beginSearch() {
 }
 
 // onProgress is the scaler's Progress hook: each milestone becomes an
-// event in the decision's log, and each executed trial becomes a
-// wall-clock span covering the time since the previous milestone (the
-// hook runs on the search's sequential decision loop, so the spans tile
-// the search without gaps).
+// event in the decision's log, encoded when a subscriber reads it, and
+// each executed trial becomes a wall-clock span covering the time since
+// the previous milestone (the hook runs on the search's sequential
+// decision loop, so the spans tile the search without gaps).
 func (rt *reqTelemetry) onProgress(ev scaler.ProgressEvent) {
 	now := rt.wt.Now()
 	switch ev.Kind {
@@ -83,9 +82,7 @@ func (rt *reqTelemetry) onProgress(ev scaler.ProgressEvent) {
 		)
 	}
 	rt.last = now
-	if data, err := json.Marshal(ev); err == nil {
-		rt.log.publish(sseEvent{name: ev.Kind, data: data})
-	}
+	rt.log.publish(sseEvent{name: ev.Kind, progress: &ev})
 }
 
 // closeTrace ends the open spans and returns the wall tracer for the

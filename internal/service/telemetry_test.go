@@ -80,6 +80,23 @@ func streamSSE(url string) ([]sseRecord, error) {
 	return nil, fmt.Errorf("event stream ended without a terminal event: %+v", events)
 }
 
+// rawSSE reads a decision's whole event stream as bytes; the server ends
+// it after the terminal event.
+func rawSSE(t *testing.T, base, id string) []byte {
+	t.Helper()
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(base + "/v1/decisions/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // assertProgressStream checks the contract both the live stream and the
 // history replay must satisfy: a start event, at least one trial event,
 // and the terminal done event, in that order.
@@ -237,7 +254,7 @@ func searchMetrics(t *testing.T, reg *obs.Registry) string {
 // for the original cache miss (live) and for later subscribers to the
 // now-cached decision (history replay).
 func TestSSEEventsMissAndHit(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	req := `{"benchmark":"halfhostile"}`
 
 	resp, _ := postScale(t, ts, req)
@@ -248,6 +265,32 @@ func TestSSEEventsMissAndHit(t *testing.T) {
 
 	// Replay after the miss completed.
 	assertProgressStream(t, readSSE(t, ts.URL, id))
+
+	// The log keeps each progress event's value and the stream encodes it
+	// on read: the frames must be the eager encoding of the same events.
+	srv.dmu.Lock()
+	log := srv.decisions[id].log
+	srv.dmu.Unlock()
+	logged, _, _, _ := log.read(0)
+	var eager bytes.Buffer
+	progress := 0
+	for _, ev := range logged {
+		data := ev.data
+		if ev.progress != nil {
+			progress++
+			var err error
+			if data, err = json.Marshal(*ev.progress); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fmt.Fprintf(&eager, "event: %s\ndata: %s\n\n", ev.name, data)
+	}
+	if progress == 0 {
+		t.Fatal("the miss logged no progress event")
+	}
+	if raw := rawSSE(t, ts.URL, id); !bytes.Equal(raw, eager.Bytes()) {
+		t.Errorf("streamed frames differ from the eager encoding:\n%s\nvs\n%s", raw, eager.Bytes())
+	}
 
 	// A cache hit runs no search; its subscribers still replay the
 	// original search's events.

@@ -64,7 +64,10 @@ import (
 // spliced) or a miss (the op ran live and was recorded); a replayed run
 // counts one hit per op it recorded, as splicing each op would. So
 // OpsSkipped always equals Hits; it is kept as a separate field because
-// it is the headline number for the bench reports.
+// it is the headline number for the bench reports. A speculative run the
+// decision loop consumes is probed twice, once by the worker that ran it
+// and once by the loop's replay, so a search at Workers ≥ 2 counts more
+// hits than the same search at Workers 1.
 type EvalStats struct {
 	Hits       int64 `json:"hits"`
 	Misses     int64 `json:"misses"`
@@ -146,9 +149,11 @@ func (c *EvalCache) SetMemoryLimit(bytes int64) {
 	c.mu.Unlock()
 }
 
-// Stats returns the counters accumulated so far. Note that the split
-// between hits and misses depends on trial scheduling when speculative
-// workers share the cache; the simulated results never do.
+// Stats returns the counters accumulated so far. Note that they depend
+// on Workers and on trial scheduling when speculative workers share the
+// cache: each consumed speculative run also counts its replay's hits, and
+// a run the decision loop never consumes still counts its probes. The
+// simulated results never depend on either.
 func (c *EvalCache) Stats() EvalStats {
 	h := c.hits.Load()
 	return EvalStats{Hits: h, Misses: c.misses.Load(), OpsSkipped: h}
@@ -248,6 +253,16 @@ func (c *EvalCache) insert(key string, e *opEntry) {
 			c.snaps[p] = snapshot{id: uint64(len(c.snaps)) + 1, n: e.host.Len()}
 		}
 	}
+}
+
+// Serves reports whether RunWithCache uses the cache on sys. A nil cache
+// serves nothing, and neither does a cache on a system with timing jitter
+// (jittered durations depend on event position and cannot be replayed)
+// or with fault injection (splicing would skip the runtime operations
+// that drive the fault decision stream, and could cache a poisoned
+// output).
+func (c *EvalCache) Serves(sys *hw.System) bool {
+	return c != nil && sys.TimingJitter <= 0 && sys.Faults == nil
 }
 
 // runKey keys the run of cfg on input set within the bound workload.

@@ -396,14 +396,11 @@ func Run(sys *hw.System, w *Workload, set InputSet, cfg *Config, hooks ...ocl.Ho
 // same input set is replayed whole, and program ops whose inputs match a
 // previously recorded execution are spliced from the cache instead of
 // re-executing, with bit-identical outputs, events, timing and hook
-// callbacks either way. A nil cache means plain execution. Systems with
-// timing jitter bypass the cache entirely: jittered durations depend on
-// event position and cannot be replayed. Systems with fault injection
-// bypass it too: splicing cached results would skip the runtime
-// operations that drive the fault decision stream (and could cache a
-// poisoned output), breaking seed-determinism.
+// callbacks either way. A nil cache means plain execution, and so does a
+// cache that does not serve sys (EvalCache.Serves: timing jitter or fault
+// injection).
 func RunWithCache(sys *hw.System, w *Workload, set InputSet, cfg *Config, cache *EvalCache, hooks ...ocl.Hook) (*Result, error) {
-	if cache != nil && (sys.TimingJitter > 0 || sys.Faults != nil) {
+	if !cache.Serves(sys) {
 		cache = nil
 	}
 	if cache != nil {

@@ -25,8 +25,15 @@ func TestEngineSearchBitIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				seq, traceT, csvT, explT := observedSearch(t, wltest.OnReference(tc.w), tc.sys, workers)
-				bat, traceB, csvB, explB := observedSearch(t, tc.w, tc.sys, workers)
+				// Workers=8 speculates only over a cache.
+				cache := func() *prog.EvalCache {
+					if workers > 1 {
+						return prog.NewEvalCache()
+					}
+					return nil
+				}
+				seq, traceT, csvT, explT := observedSearch(t, wltest.OnReference(tc.w), tc.sys, workers, cache())
+				bat, traceB, csvB, explB := observedSearch(t, tc.w, tc.sys, workers, cache())
 
 				if a, b := configKey(tc.w, seq.Config), configKey(tc.w, bat.Config); a != b {
 					t.Errorf("workers=%d: chosen config differs:\ntree:  %s\nbatch: %s", workers, a, b)

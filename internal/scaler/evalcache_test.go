@@ -3,42 +3,21 @@ package scaler
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/obs"
 	"repro/internal/prog"
 	"repro/internal/wltest"
 )
-
-// observedCachedSearch is observedSearch with an incremental-evaluation
-// cache attached.
-func observedCachedSearch(t *testing.T, w *prog.Workload, sys *hw.System, workers int, cache *prog.EvalCache) (*Result, []byte, []byte, string) {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.Workers = workers
-	opts.EvalCache = cache
-	o := obs.New()
-	opts.Obs = o
-	res, err := New(sys, dbFor(sys), w, opts).Search(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace, csv bytes.Buffer
-	if err := o.Tracer().WriteChromeTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Metrics().WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	return res, trace.Bytes(), csv.Bytes(), o.Explain()
-}
 
 // TestEvalCacheSearchBitIdentical is the acceptance check for
 // incremental trial evaluation: a search with the cache must match a
 // cache-free search in its decision and every exported observability
 // artifact, byte for byte — at Workers=1 and under the speculative
-// executor at Workers=8.
+// executor at Workers=8, at the default byte budget and at a zero one.
+// At zero the cache stores nothing, so every speculative run is refused
+// a place in the run memo and the sequential loop runs it again live.
 func TestEvalCacheSearchBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -50,31 +29,37 @@ func TestEvalCacheSearchBitIdentical(t *testing.T) {
 		{"compute-heavy/sys1", wltest.ComputeHeavy(1<<12, 4), hw.System1()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, trace0, csv0, expl0 := observedSearch(t, tc.w, tc.sys, 1)
-			for _, workers := range []int{1, 8} {
-				cache := prog.NewEvalCache()
-				cached, trace1, csv1, expl1 := observedCachedSearch(t, tc.w, tc.sys, workers, cache)
+			plain, trace0, csv0, expl0 := observedSearch(t, tc.w, tc.sys, 1, nil)
+			for _, zeroBudget := range []bool{false, true} {
+				for _, workers := range []int{1, 8} {
+					cache := prog.NewEvalCache()
+					if zeroBudget {
+						cache.SetMemoryLimit(0)
+					}
+					cached, trace1, csv1, expl1 := observedSearch(t, tc.w, tc.sys, workers, cache)
 
-				if a, b := configKey(tc.w, plain.Config), configKey(tc.w, cached.Config); a != b {
-					t.Errorf("Workers=%d: chosen config differs:\nplain:  %s\ncached: %s", workers, a, b)
-				}
-				if plain.Trials != cached.Trials || plain.Speedup != cached.Speedup ||
-					plain.Quality != cached.Quality || plain.Final.Total != cached.Final.Total {
-					t.Errorf("Workers=%d: outcome differs: %d/%v/%v/%v vs %d/%v/%v/%v",
-						workers, plain.Trials, plain.Speedup, plain.Quality, plain.Final.Total,
-						cached.Trials, cached.Speedup, cached.Quality, cached.Final.Total)
-				}
-				if !bytes.Equal(trace0, trace1) {
-					t.Errorf("Workers=%d: Chrome trace JSON differs with the cache on", workers)
-				}
-				if !bytes.Equal(csv0, csv1) {
-					t.Errorf("Workers=%d: metrics CSV differs with the cache on", workers)
-				}
-				if expl0 != expl1 {
-					t.Errorf("Workers=%d: explain report differs with the cache on", workers)
-				}
-				if st := cache.Stats(); st.Hits == 0 {
-					t.Errorf("Workers=%d: cache saw no hits across a whole search", workers)
+					at := fmt.Sprintf("Workers=%d, zero budget %v", workers, zeroBudget)
+					if a, b := configKey(tc.w, plain.Config), configKey(tc.w, cached.Config); a != b {
+						t.Errorf("%s: chosen config differs:\nplain:  %s\ncached: %s", at, a, b)
+					}
+					if plain.Trials != cached.Trials || plain.Speedup != cached.Speedup ||
+						plain.Quality != cached.Quality || plain.Final.Total != cached.Final.Total {
+						t.Errorf("%s: outcome differs: %d/%v/%v/%v vs %d/%v/%v/%v",
+							at, plain.Trials, plain.Speedup, plain.Quality, plain.Final.Total,
+							cached.Trials, cached.Speedup, cached.Quality, cached.Final.Total)
+					}
+					if !bytes.Equal(trace0, trace1) {
+						t.Errorf("%s: Chrome trace JSON differs with the cache on", at)
+					}
+					if !bytes.Equal(csv0, csv1) {
+						t.Errorf("%s: metrics CSV differs with the cache on", at)
+					}
+					if expl0 != expl1 {
+						t.Errorf("%s: explain report differs with the cache on", at)
+					}
+					if st := cache.Stats(); !zeroBudget && st.Hits == 0 {
+						t.Errorf("%s: cache saw no hits across a whole search", at)
+					}
 				}
 			}
 		})

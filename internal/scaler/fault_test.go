@@ -205,9 +205,11 @@ func TestSearchProfilingFailureIsFatal(t *testing.T) {
 	}
 }
 
-// TestSearchFaultDeterminismAcrossWorkers: fault decisions depend only
-// on each run's op sequence, never on scheduling, so speculative workers
-// see exactly the faults the sequential search sees.
+// TestSearchFaultDeterminismAcrossWorkers: a faulted search does not
+// speculate, because no EvalCache serves a system with fault injection
+// and speculative runs reach the decision loop only through the cache's
+// run memo. So Workers=8 runs the sequential schedule, and the outcome
+// and the fault counters are the same at any Workers value.
 func TestSearchFaultDeterminismAcrossWorkers(t *testing.T) {
 	spec, err := fault.Parse("write:0.05,launch:0.03,devlost:0.004,nan:0.02")
 	if err != nil {

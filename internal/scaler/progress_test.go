@@ -6,30 +6,33 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/prog"
 	"repro/internal/wltest"
 )
 
-// progressSearch runs one search with a collecting Progress hook.
-func progressSearch(t *testing.T, workers int) (*Result, []ProgressEvent) {
+// progressSearch runs one search over a fresh EvalCache with a
+// collecting Progress hook, and returns the cache too.
+func progressSearch(t *testing.T, workers int) (*Result, []ProgressEvent, *prog.EvalCache) {
 	t.Helper()
 	sys := hw.System1()
 	w := wltest.VecCombine(1 << 12)
 	opts := DefaultOptions()
 	opts.Workers = workers
+	opts.EvalCache = prog.NewEvalCache()
 	var events []ProgressEvent
 	opts.Progress = func(ev ProgressEvent) { events = append(events, ev) }
 	res, err := New(sys, dbFor(sys), w, opts).Search(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, events
+	return res, events, opts.EvalCache
 }
 
 // The hook must see the full milestone sequence: start, profile, at
 // least one trial per executed configuration, one object decision per
 // memory object, and a final event matching the result.
 func TestProgressEventSequence(t *testing.T) {
-	res, events := progressSearch(t, 1)
+	res, events, _ := progressSearch(t, 1)
 	if len(events) < 4 {
 		t.Fatalf("only %d progress events: %+v", len(events), events)
 	}
@@ -78,15 +81,18 @@ func TestProgressEventSequence(t *testing.T) {
 // The event stream is part of the determinism contract: identical at
 // any Workers value, and the hook itself must not perturb the search.
 func TestProgressDeterministicAndInert(t *testing.T) {
-	res1, ev1 := progressSearch(t, 1)
-	res8, ev8 := progressSearch(t, 8)
+	res1, ev1, cache1 := progressSearch(t, 1)
+	_, ev8, cache8 := progressSearch(t, 8)
+	checkSpeculated(t, "progress", cache1, cache8)
 	if !reflect.DeepEqual(ev1, ev8) {
 		t.Errorf("progress events differ across Workers:\n1: %+v\n8: %+v", ev1, ev8)
 	}
 
 	sys := hw.System1()
 	w := wltest.VecCombine(1 << 12)
-	plain, err := New(sys, dbFor(sys), w, DefaultOptions()).Search(context.Background())
+	opts := DefaultOptions()
+	opts.EvalCache = prog.NewEvalCache()
+	plain, err := New(sys, dbFor(sys), w, opts).Search(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,5 +104,4 @@ func TestProgressDeterministicAndInert(t *testing.T) {
 	if a, b := configKey(w, plain.Config), configKey(w, res1.Config); a != b {
 		t.Errorf("progress hook changed the chosen config")
 	}
-	_ = res8
 }

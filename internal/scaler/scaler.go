@@ -69,15 +69,16 @@ type Options struct {
 	Obs *obs.Observer
 	// Workers bounds the number of goroutines used to execute independent
 	// candidate trials speculatively (the uniform configurations of the
-	// pre-full-precision pass, the per-object normal-search candidates,
-	// and the wildcard predicted-plan scoring). 0 or 1 runs everything
-	// sequentially. The search itself stays sequential: speculative
-	// results are consumed by the unchanged decision loop in fixed
-	// precision order and their observability side effects are replayed at
-	// the point the sequential schedule would have produced them, so trial
-	// counts, the chosen configuration, and every trace/metrics/journal
-	// artifact are bit-identical for any Workers value (see DESIGN.md,
-	// "Determinism under parallelism").
+	// pre-full-precision pass and the per-object normal-search
+	// candidates) into the EvalCache's run memo. 0 or 1 runs everything
+	// sequentially, and so does a search whose EvalCache is nil or does
+	// not serve the system (fault injection or timing jitter). The search
+	// itself stays sequential: the unchanged decision loop consumes the
+	// memoized runs in fixed precision order, replaying their
+	// observability side effects at the point the sequential schedule
+	// would have produced them, so trial counts, the chosen configuration,
+	// and every trace/metrics/journal artifact are bit-identical for any
+	// Workers value (see DESIGN.md, "Determinism under parallelism").
 	Workers int
 	// Retries bounds how many times a trial whose execution failed with a
 	// transient runtime fault (see internal/fault) is re-attempted before
@@ -200,21 +201,6 @@ type trialRecord struct {
 	quality float64
 }
 
-// specTrial is one speculatively executed configuration: the run result
-// plus the buffers the run created, which together are enough to replay
-// the run's observability side effects during the deterministic merge.
-type specTrial struct {
-	res  *prog.Result
-	bufs []*ocl.Buffer
-}
-
-// bufRecorder captures created buffers during a speculative run so the
-// merge can replay BufferCreated callbacks into the real observer.
-type bufRecorder struct{ bufs []*ocl.Buffer }
-
-func (r *bufRecorder) BufferCreated(b *ocl.Buffer) { r.bufs = append(r.bufs, b) }
-func (r *bufRecorder) EventRecorded(ocl.Event)     {}
-
 // Scaler runs the decision-maker search for one workload on one system.
 type Scaler struct {
 	sys  *hw.System
@@ -234,7 +220,6 @@ type Scaler struct {
 	trials int
 	keys   *prog.ConfigKeyer
 	memo   map[string]*trialRecord
-	spec   map[string]*specTrial
 	warm   *WarmReport
 }
 
@@ -244,21 +229,23 @@ func New(sys *hw.System, db *inspect.DB, w *prog.Workload, opts Options) *Scaler
 		opts.TOQ = 0.90
 	}
 	return &Scaler{sys: sys, db: db, w: w, opts: opts, keys: prog.NewConfigKeyer(w),
-		memo: map[string]*trialRecord{}, spec: map[string]*specTrial{}}
+		memo: map[string]*trialRecord{}}
 }
 
 // speculate executes the not-yet-memoized configurations among cfgs
-// concurrently, caching each run for the sequential decision loop to
-// consume via runTrial. Configurations whose whole run the EvalCache
-// holds are skipped: the sequential path replays them without running
-// an op. Each worker iteration runs on its own cloned system so no
-// hardware-model state is shared; the observer sees nothing here — side
-// effects are replayed at merge time. Runs the sequential schedule would
-// never reach are simply discarded, and speculative errors are dropped:
-// the failing configuration re-executes lazily (and fails identically)
-// only if the sequential path actually asks for it.
+// concurrently into the EvalCache's run memo, from which runTrial's
+// RunWithCache call replays each one, callbacks in recorded order, when
+// the sequential decision loop asks for it. Without a cache that serves
+// the system (nil, faults, jitter) the search runs sequentially.
+// Configurations the memo already holds are skipped. Each worker runs on
+// its own cloned system, with no hooks: the observer sees only the
+// replay. Every memo entry equals what a live run would record, so
+// results stay schedule-independent; runs the loop never reaches stay
+// unconsumed. A run that fails, panics or is refused by the byte budget
+// is not memoized, and the loop runs it again live (failing identically,
+// now surfaced).
 func (s *Scaler) speculate(cfgs []*prog.Config) {
-	if s.opts.Workers <= 1 {
+	if s.opts.Workers <= 1 || !s.opts.EvalCache.Serves(s.sys) {
 		return
 	}
 	// A canceled search must not fan out new work; the sequential loop
@@ -267,7 +254,6 @@ func (s *Scaler) speculate(cfgs []*prog.Config) {
 		return
 	}
 	var todo []*prog.Config
-	var keys []string
 	seen := map[string]bool{}
 	for _, cfg := range cfgs {
 		key := s.keys.Key(cfg)
@@ -277,62 +263,35 @@ func (s *Scaler) speculate(cfgs []*prog.Config) {
 		if _, ok := s.memo[key]; ok {
 			continue
 		}
-		if _, ok := s.spec[key]; ok {
-			continue
-		}
 		if s.opts.EvalCache.Holds(s.opts.InputSet, cfg) {
 			continue
 		}
 		seen[key] = true
 		todo = append(todo, cfg)
-		keys = append(keys, key)
 	}
 	if len(todo) < 2 {
 		return
 	}
-	results := make([]*specTrial, len(todo))
-	run := func(i int) {
-		rec := &bufRecorder{}
-		// Workers share the mutex-guarded EvalCache: a speculative run
-		// both consumes and seeds op entries. Discarded runs may leave
-		// entries behind — they are interchangeable with what a live run
-		// would record, so results stay schedule-independent (only the
-		// hit/miss split varies). A panicking worker is isolated the same
-		// way a failing one is: its run is dropped and re-executes (and
-		// fails identically, now surfaced) on the sequential path.
-		var res *prog.Result
-		err := fault.Guard(func() error {
-			r, e := prog.RunWithCache(s.sys.Clone(), s.w, s.opts.InputSet, todo[i], s.opts.EvalCache, rec)
-			res = r
-			return e
-		})
-		if err != nil {
-			return
-		}
-		results[i] = &specTrial{res: res, bufs: rec.bufs}
-	}
-	// Each worker writes only its own runs' slots.
-	work := make(chan int)
+	work := make(chan *prog.Config)
 	var wg sync.WaitGroup
 	for w := 0; w < min(s.opts.Workers, len(todo)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				run(i)
+			for cfg := range work {
+				// A failed run is not memoized; the loop runs it again.
+				_ = fault.Guard(func() error {
+					_, err := prog.RunWithCache(s.sys.Clone(), s.w, s.opts.InputSet, cfg, s.opts.EvalCache)
+					return err
+				})
 			}
 		}()
 	}
-	for i := range todo {
-		work <- i
+	for _, cfg := range todo {
+		work <- cfg
 	}
 	close(work)
 	wg.Wait()
-	for i, st := range results {
-		if st != nil {
-			s.spec[keys[i]] = st
-		}
-	}
 }
 
 // Result reports the outcome of a search.
@@ -428,41 +387,25 @@ func (s *Scaler) runTrial(cfg *prog.Config, label string) (*trialRecord, bool, e
 	if tr != nil {
 		sp = tr.Start("trial "+label, "trial", obs.A("config", summarizeConfig(s.w, cfg)))
 	}
+	// RunWithCache replays a speculative run of cfg from the run memo
+	// through a hook created now, at the virtual-clock position a live
+	// run would use, so traces and metrics come out identical.
 	var res *prog.Result
-	if st, ok := s.spec[key]; ok {
-		// Consume a speculative run: replay its runtime callbacks through a
-		// hook created now, i.e. at the exact virtual-clock position a live
-		// run would have used, so traces and metrics come out identical.
-		// BufferCreated emits only order-independent counters, so replaying
-		// all buffers before the ordered event stream is equivalent to the
-		// original interleaving.
-		delete(s.spec, key)
-		if h := o.RunHook(); h != nil {
-			for _, b := range st.bufs {
-				h.BufferCreated(b)
-			}
-			for _, e := range st.res.Events {
-				h.EventRecorded(e)
-			}
+	err := s.retryFaults(label, func() error {
+		r, e := prog.RunWithCache(s.sys, s.w, s.opts.InputSet, cfg, s.opts.EvalCache, o.RunHook())
+		if e != nil {
+			return e
 		}
-		res = st.res
-	} else {
-		err := s.retryFaults(label, func() error {
-			r, e := prog.RunWithCache(s.sys, s.w, s.opts.InputSet, cfg, s.opts.EvalCache, o.RunHook())
-			if e != nil {
-				return e
-			}
-			res = r
-			return nil
-		})
-		if err != nil {
-			if sp != nil {
-				sp.SetAttr("error", err.Error())
-				tr.End(sp)
-			}
-			s.progress(ProgressEvent{Kind: "trial", Label: label, Trial: s.trials, Verdict: "exec-fail"})
-			return nil, false, err
+		res = r
+		return nil
+	})
+	if err != nil {
+		if sp != nil {
+			sp.SetAttr("error", err.Error())
+			tr.End(sp)
 		}
+		s.progress(ProgressEvent{Kind: "trial", Label: label, Trial: s.trials, Verdict: "exec-fail"})
+		return nil, false, err
 	}
 	s.trials++
 	rec := &trialRecord{res: res, quality: s.quality(res)}
@@ -882,7 +825,7 @@ func (s *Scaler) fullPrecisionPass(types []precision.Type) (*prog.Config, error)
 	// speculatively in parallel; the decision loop below is unchanged and
 	// consumes the results in fixed (descending precision) order, so the
 	// early break on the first TOQ failure still bounds the trial count —
-	// speculative runs past the break point are discarded unconsumed.
+	// speculative runs past the break point stay in the memo unconsumed.
 	cfgs := make([]*prog.Config, len(types))
 	for i, t := range types {
 		cfgs[i] = s.uniformConfig(t)

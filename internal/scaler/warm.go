@@ -63,9 +63,9 @@ type WarmReport struct {
 // search's); if it misses TOQ, a repair pass raises objects — in the
 // usual descending-effective-time visit order — one precision step at a
 // time until the configuration passes. Either way every executed trial
-// goes through runTrial, so memoization, speculation consumption,
-// fault retries and progress events behave exactly as in the cold path,
-// and the result is deterministic at any Workers value.
+// goes through runTrial, so memoization, replays of speculative runs from
+// the EvalCache, fault retries and progress events behave exactly as in
+// the cold path, and the result is deterministic at any Workers value.
 func (s *Scaler) warmSearch(types []precision.Type) (*prog.Config, error) {
 	seed := s.opts.Seed
 	thr := seed.MoveThreshold

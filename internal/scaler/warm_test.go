@@ -2,6 +2,7 @@ package scaler
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -23,12 +24,14 @@ func coldSearch(t *testing.T, sys *hw.System, w *prog.Workload, set prog.InputSe
 	return res
 }
 
-// warmSearchFrom re-searches w on set seeded from a prior result.
-func warmSearchFrom(t *testing.T, sys *hw.System, w *prog.Workload, set prog.InputSet, seed *Seed, workers int) *Result {
+// warmSearchFrom re-searches w on set seeded from a prior result, over
+// cache (nil runs without one).
+func warmSearchFrom(t *testing.T, sys *hw.System, w *prog.Workload, set prog.InputSet, seed *Seed, workers int, cache *prog.EvalCache) *Result {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.InputSet = set
 	opts.Workers = workers
+	opts.EvalCache = cache
 	opts.Seed = seed
 	res, err := New(sys, dbFor(sys), w, opts).Search(context.Background())
 	if err != nil {
@@ -64,7 +67,7 @@ func TestWarmDriftKeepsUnmovedObjects(t *testing.T) {
 	seed := seedOf(t, sys, w, prog.InputRandom, gen1)
 
 	cold := coldSearch(t, sys, w, prog.InputImage, 0)
-	warm := warmSearchFrom(t, sys, w, prog.InputImage, seed, 0)
+	warm := warmSearchFrom(t, sys, w, prog.InputImage, seed, 0, nil)
 
 	if warm.Warm == nil {
 		t.Fatal("warm search did not record a WarmReport")
@@ -106,7 +109,7 @@ func TestWarmTOQRepairRaisesPrecision(t *testing.T) {
 	seed := seedOf(t, sys, w, prog.InputRandom, gen1)
 
 	cold := coldSearch(t, sys, w, prog.InputImage, 0)
-	warm := warmSearchFrom(t, sys, w, prog.InputImage, seed, 0)
+	warm := warmSearchFrom(t, sys, w, prog.InputImage, seed, 0, nil)
 
 	if warm.Warm == nil || warm.Warm.SeedPassed {
 		t.Fatalf("seed should fail TOQ on image inputs: %+v", warm.Warm)
@@ -126,21 +129,41 @@ func TestWarmTOQRepairRaisesPrecision(t *testing.T) {
 }
 
 // TestWarmDeterministicAcrossWorkers: the warm path must produce the
-// same decision, trial count, and warm report at any worker count.
+// same decision, trial count, and warm report at any worker count. The
+// drifted seed keeps every VecCombine object and repairs RangeHostile
+// one trial at a time, neither of which speculates; a baseline seed
+// without error contributions re-searches every object from the
+// original precision, which does.
 func TestWarmDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []*prog.Workload{wltest.VecCombine(1 << 12), wltest.RangeHostile(1 << 18)} {
 		sys := hw.System1()
 		gen1 := coldSearch(t, sys, w, prog.InputRandom, 0)
-		seed := seedOf(t, sys, w, prog.InputRandom, gen1)
-		a := warmSearchFrom(t, sys, w, prog.InputImage, seed, 1)
-		b := warmSearchFrom(t, sys, w, prog.InputImage, seed, 8)
-		if a.Trials != b.Trials {
-			t.Errorf("%s: trials differ across workers: %d vs %d", w.Name, a.Trials, b.Trials)
-		}
-		ka := configKey(w, a.Config)
-		kb := configKey(w, b.Config)
-		if ka != kb {
-			t.Errorf("%s: configs differ across workers:\n  %q\n  %q", w.Name, ka, kb)
+		for _, tc := range []struct {
+			name        string
+			seed        *Seed
+			speculative bool
+		}{
+			{"drifted", seedOf(t, sys, w, prog.InputRandom, gen1), false},
+			{"baseline", &Seed{Config: prog.Baseline(w)}, true},
+		} {
+			what := w.Name + "/" + tc.name
+			cache1, cache8 := prog.NewEvalCache(), prog.NewEvalCache()
+			a := warmSearchFrom(t, sys, w, prog.InputImage, tc.seed, 1, cache1)
+			b := warmSearchFrom(t, sys, w, prog.InputImage, tc.seed, 8, cache8)
+			if tc.speculative {
+				checkSpeculated(t, what, cache1, cache8)
+			}
+			if a.Trials != b.Trials {
+				t.Errorf("%s: trials differ across workers: %d vs %d", what, a.Trials, b.Trials)
+			}
+			if !reflect.DeepEqual(a.Warm, b.Warm) {
+				t.Errorf("%s: warm reports differ across workers:\n  %+v\n  %+v", what, a.Warm, b.Warm)
+			}
+			ka := configKey(w, a.Config)
+			kb := configKey(w, b.Config)
+			if ka != kb {
+				t.Errorf("%s: configs differ across workers:\n  %q\n  %q", what, ka, kb)
+			}
 		}
 	}
 }
@@ -169,7 +192,7 @@ func TestProjectSeedSanitizes(t *testing.T) {
 		"tmp":   {Target: precision.Single},
 		"b":     {Target: precision.Half},
 	}}
-	res := warmSearchFrom(t, hw.System1(), w, prog.InputImage, &Seed{Config: bad}, 0)
+	res := warmSearchFrom(t, hw.System1(), w, prog.InputImage, &Seed{Config: bad}, 0, nil)
 	if res.Quality < 0.90 {
 		t.Errorf("quality %v below TOQ after sanitized warm start", res.Quality)
 	}
